@@ -200,9 +200,12 @@ class _NotCommensurableEntry(QClockError):
         self.value = value
 
 
-def _require_odd_prime(n: int) -> None:
-    if not is_odd_prime(n):
-        raise DimensionNotOddPrime(f"n = {n} is not an odd prime")
+def _load_odd_prime_spectrum(path: str) -> dict:
+    """load_spectrum_file, then exit 4 unless n is an odd prime."""
+    data = load_spectrum_file(path)
+    if not is_odd_prime(data["n"]):
+        raise DimensionNotOddPrime(f"n = {data['n']} is not an odd prime")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +245,7 @@ def _verdict_fields(outcome) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    data = load_spectrum_file(args.spectrum)
-    _require_odd_prime(data["n"])
+    data = _load_odd_prime_spectrum(args.spectrum)
     n = data["n"]
 
     try:
@@ -304,6 +306,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK if report["compatible"] else EXIT_INCOMPATIBLE
 
 
+def _signs_line(signs: dict) -> str:
+    return (
+        f"signs: commutation={signs['commutation_sign']}"
+        f" shift_direction={signs['shift_direction_sign']}"
+        f" weyl_pair={signs['weyl_pair_sign']}"
+    )
+
+
 def _emit_analyze_text(report: dict) -> None:
     lines = [f"qclock analyze {report['tool_version']}"]
     src = report["input"]
@@ -326,15 +336,7 @@ def _emit_analyze_text(report: dict) -> None:
         if "first_bad_index" in cert:
             lines.append(f"first_bad_index: {cert['first_bad_index']}")
         lines.append(f"detail: {cert['detail']}")
-    notes = report["convention_notes"]
-    lines.append(
-        "signs: commutation="
-        + str(notes["commutation_sign"])
-        + " shift_direction="
-        + str(notes["shift_direction_sign"])
-        + " weyl_pair="
-        + str(notes["weyl_pair_sign"])
-    )
+    lines.append(_signs_line(report["convention_notes"]))
     if "shifted" in report:
         sub = report["shifted"]
         if sub["compatible"]:
@@ -352,26 +354,25 @@ def _emit_analyze_text(report: dict) -> None:
 # clock
 
 
-def _load_compatible(args):
-    """Shared front-end for commands that need a decomposition."""
-    data = load_spectrum_file(args.spectrum)
-    _require_odd_prime(data["n"])
-    n = data["n"]
+def _compatible(data: dict):
+    """(Spectrum, SpectrumDecomposition) of a loaded spectrum file.
+
+    Raises IncompatibleSpectrum, or DegenerateSpectrum, which exits the same way.
+    """
     try:
         fractions, _ = _entries_to_fractions(data["energies"], 1e-9, 10**6)
     except _NotCommensurableEntry as exc:
         raise IncompatibleSpectrum(str(exc)) from exc
-    try:
-        outcome = decompose_spectrum(Spectrum(dim=n, energies=tuple(fractions)))
-    except DegenerateSpectrum as exc:
-        raise IncompatibleSpectrum(str(exc)) from exc
+    spec = Spectrum(dim=data["n"], energies=tuple(fractions))
+    outcome = decompose_spectrum(spec)
     if not isinstance(outcome, SpectrumDecomposition):
         raise IncompatibleSpectrum(outcome.detail)
-    return data, Spectrum(dim=n, energies=tuple(fractions)), outcome
+    return spec, outcome
 
 
 def cmd_clock(args) -> int:
-    data, spec, decomp = _load_compatible(args)
+    data = _load_odd_prime_spectrum(args.spectrum)
+    spec, decomp = _compatible(data)
     n = spec.dim
     steps = args.steps if args.steps is not None else 2 * n
     if not 0 <= args.initial < n:
@@ -442,15 +443,14 @@ def _parse_state(text: str, n: int):
 
 
 def cmd_wigner(args) -> int:
-    data = load_spectrum_file(args.spectrum)
-    _require_odd_prime(data["n"])
+    data = _load_odd_prime_spectrum(args.spectrum)
     n = data["n"]
     kind, index = _parse_state(args.state, n)
     if (args.time is None) == (args.step is None):
         raise SpectrumFileError("exactly one of --time or --step is required")
 
     if args.step is not None:
-        _, _, decomp = _load_compatible(args)
+        _, decomp = _compatible(data)
         t = args.step * decomp.delta_tau
     else:
         t = args.time
@@ -545,14 +545,7 @@ def cmd_verify(args) -> int:
         _emit(_dump_json(payload))
     else:
         lines = [f"qclock verify {__version__}  n={report.dim} seed={report.seed}"]
-        lines.append(
-            "signs: commutation="
-            + str(report.signs["commutation_sign"])
-            + " shift_direction="
-            + str(report.signs["shift_direction_sign"])
-            + " weyl_pair="
-            + str(report.signs["weyl_pair_sign"])
-        )
+        lines.append(_signs_line(report.signs))
         for chk in report.checks:
             comparator = "<=" if chk.mode == "upper" else ">="
             status = "PASS" if chk.passed else "FAIL"
@@ -570,6 +563,28 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+def _number(kind, ok, requirement: str):
+    """argparse type: kind(text) satisfying ok, else exit 2 naming the flag."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_finite_float = _number(float, math.isfinite, "a finite number")
+_positive_float = _number(
+    float, lambda x: math.isfinite(x) and x > 0.0, "a finite positive number"
+)
+_positive_int = _number(int, lambda x: x >= 1, "an integer >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qclock",
@@ -579,8 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="decide whether a spectrum supports a clock")
     p.add_argument("--spectrum", required=True, help="path to a spectrum JSON file")
-    p.add_argument("--tolerance", type=float, default=1e-9)
-    p.add_argument("--max-denominator", type=int, default=10**6)
+    p.add_argument("--tolerance", type=_positive_float, default=1e-9)
+    p.add_argument("--max-denominator", type=_positive_int, default=10**6)
     p.add_argument("--shift-ground", action="store_true",
                    help="also analyze with the ground energy subtracted")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -596,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="dump the Wigner grid of an evolved state")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--state", required=True, help="v:INT, u:INT, or mixed")
-    p.add_argument("--time", type=float, default=None)
+    p.add_argument("--time", type=_finite_float, default=None)
     p.add_argument("--step", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_wigner)

@@ -10,7 +10,7 @@ class NotHermitian(QClockError):
 
 
 class NoConvergence(QClockError):
-    """Iterative eigensolver exhausted its sweep budget."""
+    """The eigensolver (LAPACK) reported that it did not converge."""
 
 
 class NoRationalWithinTolerance(QClockError):

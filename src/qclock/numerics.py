@@ -24,8 +24,6 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 
-_JACOBI_SWEEPS = 100
-_JACOBI_OFF_TOL = 1e-14  # scaled by the largest input magnitude
 _GAUGE_FLOOR = 1e-8  # smallest component considered "nonzero" when phase-fixing
 _CLUSTER_TOL = 1e-10  # eigenvalue gap below which vectors count as degenerate
 
@@ -65,62 +63,21 @@ class EigenSystem:
     vectors: np.ndarray
 
 
-def _max_offdiag(a: np.ndarray) -> float:
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return float(np.max(np.abs(a[mask]))) if a.shape[0] > 1 else 0.0
-
-
-def _rotate(a: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
-    """One complex Jacobi rotation zeroing a[p, q] (and a[q, p]) in place.
-
-    The 2x2 Hermitian block is reduced to a real symmetric one by pulling
-    out the phase of a[p, q], then rotated by the classic stable angle.
-    """
-    apq = a[p, q]
-    phase = apq / abs(apq)
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    # unitary is [[c, s], [-s*conj(phase), c*conj(phase)]] on the (p, q) plane
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(phase) * col_q
-    a[:, q] = s * col_p + c * np.conj(phase) * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * phase * row_q
-    a[q, :] = s * row_p + c * phase * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vcol_p = vecs[:, p].copy()
-    vcol_q = vecs[:, q].copy()
-    vecs[:, p] = c * vcol_p - s * np.conj(phase) * vcol_q
-    vecs[:, q] = s * vcol_p + c * np.conj(phase) * vcol_q
-
-
 def _first_sizable(col: np.ndarray) -> int:
     idx = np.flatnonzero(np.abs(col) > _GAUGE_FLOOR)
     return int(idx[0]) if idx.size else int(np.argmax(np.abs(col)))
 
 
 def hermitian_eig(a) -> EigenSystem:
-    """Eigendecomposition of a complex Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a complex Hermitian matrix (LAPACK ``eigh``).
 
     Eigenvalues come back ascending; eigenvector columns are orthonormal and
     gauge-fixed (first sizable component real positive).  Within a degenerate
     cluster the columns are ordered by that component's real part, so repeated
     runs on the same matrix give identical output.
 
-    Raises NotHermitian when max|a - a^dag| exceeds 1e-12, NoConvergence if
-    the off-diagonal has not shrunk below threshold after 100 sweeps.
+    Raises NotHermitian when max|a - a^dag| exceeds 1e-12, NoConvergence when
+    LAPACK reports that the decomposition did not converge.
     """
     arr = _as_square_complex(a)
     defect = hermiticity_defect(arr)
@@ -129,26 +86,11 @@ def hermitian_eig(a) -> EigenSystem:
 
     n = arr.shape[0]
     work = 0.5 * (arr + arr.conj().T)  # exact Hermitian symmetrization
-    vecs = np.eye(n, dtype=np.complex128)
     scale = max(1.0, float(np.max(np.abs(work))) if work.size else 0.0)
-    off_tol = _JACOBI_OFF_TOL * scale
-
-    for _ in range(_JACOBI_SWEEPS):
-        if _max_offdiag(work) <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(work[p, q]) > off_tol:
-                    _rotate(work, vecs, p, q)
-    if _max_offdiag(work) > off_tol:
-        raise NoConvergence(
-            f"off-diagonal {_max_offdiag(work):.3e} after {_JACOBI_SWEEPS} sweeps"
-        )
-
-    values = np.diag(work).real.copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
+    try:
+        values, vecs = np.linalg.eigh(work)  # values ascending
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}") from exc
 
     for j in range(n):
         pivot = vecs[_first_sizable(vecs[:, j]), j]

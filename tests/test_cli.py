@@ -195,6 +195,29 @@ def test_wigner_step_equals_time():
     assert by_step.stdout == by_time.stdout
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("analyze", "--max-denominator", "0"),
+        ("analyze", "--tolerance", "0"),
+        ("analyze", "--tolerance", "-1"),
+        ("analyze", "--tolerance", "nan"),
+        ("analyze", "--tolerance", "inf"),
+        ("wigner", "--time", "nan"),
+        ("wigner", "--time", "inf"),
+    ],
+)
+def test_bad_numeric_flag_is_malformed(tmp_path, command, flag, value):
+    path = tmp_path / "halves.json"
+    path.write_text(json.dumps({"n": 3, "energies": [0.0, 0.5, 1.0]}))
+    extra = ("--state", "v:0") if command == "wigner" else ()
+    proc = run_cli(command, "--spectrum", str(path), *extra, f"{flag}={value}")
+    assert proc.returncode == 2
+    assert flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_wigner_requires_exactly_one_of_time_step():
     assert run_cli("wigner", "--spectrum", HARMONIC, "--state", "v:0").returncode == 2
     assert (

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import (
     AllZero,
+    NoConvergence,
     NoRationalWithinTolerance,
     NotHermitian,
     exp_hermitian,
@@ -17,6 +20,23 @@ from qclock.schwinger import build_pair, clock_power
 
 def reconstruction_residual(a, es):
     return np.max(np.abs((es.vectors * es.values) @ es.vectors.conj().T - a))
+
+
+def gauge_pivots(es):
+    """Each column's first component with modulus above 1e-8."""
+    return np.array([col[np.flatnonzero(np.abs(col) > 1e-8)[0]] for col in es.vectors.T])
+
+
+def degenerate_matrices():
+    """Hermitian matrices with repeated eigenvalues, in generic eigenbases."""
+    rng = np.random.default_rng(12)
+    out = [np.eye(4, dtype=complex) - np.full((4, 4), 0.25)]
+    for values in ([1, 1, 1, 2, 2, 3], [-2, 0, 0, 0, 0, 5, 5], [4, 4, 4, 4, 4]):
+        z = rng.normal(size=(len(values),) * 2) + 1j * rng.normal(size=(len(values),) * 2)
+        q, _ = np.linalg.qr(z)
+        a = (q * np.array(values, dtype=float)) @ q.conj().T
+        out.append(0.5 * (a + a.conj().T))
+    return out
 
 
 def test_pauli_x_spectrum():
@@ -48,6 +68,59 @@ def test_degenerate_spectrum_is_deterministic():
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
     assert reconstruction_residual(a, first) < 1e-10
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_gauge_first_sizable_component_real_positive(case):
+    rng = np.random.default_rng(20 + case)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    for matrix in (a + a.conj().T, degenerate_matrices()[case]):
+        pivots = gauge_pivots(hermitian_eig(matrix))
+        assert np.all(pivots.real > 0.0)
+        assert np.max(np.abs(pivots.imag)) < 1e-15
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_degenerate_cluster_pivots_ascend(case):
+    a = degenerate_matrices()[case]
+    es = hermitian_eig(a)
+    assert reconstruction_residual(a, es) < 1e-10
+    keys = gauge_pivots(es).real
+    clusters = np.split(np.arange(len(es.values)), np.flatnonzero(np.diff(es.values) > 1e-10) + 1)
+    assert any(len(c) > 1 for c in clusters)
+    for cluster in clusters:
+        assert np.all(np.diff(keys[cluster]) >= 0.0)
+
+
+def test_lapack_failure_is_no_convergence(monkeypatch):
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(NoConvergence):
+        hermitian_eig(np.diag([1.0, 2.0]))
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(1, 12))
+    part = st.floats(-700.0, 700.0)  # |re + i im| stays below 1e3
+    re = np.array(draw(st.lists(part, min_size=n * n, max_size=n * n))).reshape(n, n)
+    im = np.array(draw(st.lists(part, min_size=n * n, max_size=n * n))).reshape(n, n)
+    upper = np.triu(re + 1j * im, 1)
+    return upper + upper.conj().T + np.diag(np.diag(re))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hermitian_matrices())
+def test_hermitian_eig_property(a):
+    es = hermitian_eig(a)
+    n = a.shape[0]
+    assert reconstruction_residual(a, es) < 1e-10
+    assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(n))) < 1e-12
+    # ascending, up to reordering inside a degenerate cluster (gap <= 1e-10 * scale)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    assert np.all(np.diff(es.values) >= -1e-10 * scale)
 
 
 def test_not_hermitian_rejected():
@@ -166,8 +239,8 @@ def test_rational_gcd_divides_and_is_maximal():
 
 
 def test_large_scale_matrix_converges():
-    # the off-diagonal stopping threshold scales with the matrix magnitude,
-    # so entries around 1e3 must still converge and reconstruct
+    # a matrix with entries around 1e3 must still decompose and reconstruct
+    # to an absolute 1e-10
     rng = np.random.default_rng(11)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     a = 1e3 * (a + a.conj().T)
