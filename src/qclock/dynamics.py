@@ -77,9 +77,14 @@ def stroboscopic_step(grid, k: int, sign: int) -> np.ndarray:
     return np.roll(grid, sign * k, axis=1)
 
 
-def _fourier_populations(pair: SchwingerPair, rho: np.ndarray) -> np.ndarray:
-    # <s_n| rho |s_n> for every shift eigenvector
-    return np.real(np.einsum("kn,nm,km->k", pair.fourier, rho, pair.fourier.conj()))
+def _tick_factor(spec: Spectrum, dtau: float) -> np.ndarray:
+    """Entrywise factor of one tick: exp(-i*H*dtau) rho exp(i*H*dtau) = rho * factor.
+
+    H = diag(E) is diagonal in the clock basis, so the propagator is the
+    phase vector p = exp(-i*E*dtau) and the conjugation is rho[m, n] p_m p_n^*.
+    """
+    phases = np.exp(-1j * spec.as_floats() * dtau)
+    return np.outer(phases, phases.conj())
 
 
 def measure_shift_sign(pair: SchwingerPair, decomp: SpectrumDecomposition) -> int:
@@ -89,9 +94,8 @@ def measure_shift_sign(pair: SchwingerPair, decomp: SpectrumDecomposition) -> in
     or -k (mod N); those differ for every k in 1..N-1 at odd prime N.
     """
     n = pair.dim
-    hamiltonian = np.diag(np.array([float(e) for e in decomp.energies()], dtype=np.complex128))
-    state = shift_eigenvector(pair, 0)
-    moved = exp_hermitian(hamiltonian, decomp.delta_tau) @ state
+    energies = np.array([float(e) for e in decomp.energies()])
+    moved = np.exp(-1j * energies * decomp.delta_tau) * shift_eigenvector(pair, 0)
     populations = np.abs(pair.fourier @ moved) ** 2
     occupied = int(np.argmax(populations))
     if occupied == decomp.k % n:
@@ -135,8 +139,8 @@ def clock_run(
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
-    hamiltonian = np.diag(spec.as_floats().astype(np.complex128))
     dtau = decomp.delta_tau
+    tick = _tick_factor(spec, dtau)
     state = shift_eigenvector(pair, initial_index)
     rho = np.outer(state, state.conj())
 
@@ -157,7 +161,7 @@ def clock_run(
             )
         )
         if j < steps:
-            rho = evolve_density(rho, hamiltonian, dtau)
+            rho = rho * tick
 
     first = records[1].occupied_index
     if first == (initial_index + decomp.k) % n:
@@ -204,11 +208,11 @@ def shift_vs_evolution_residual(
 
     rho = check_density(rho)
     sign = measure_shift_sign(pair, decomp)
-    hamiltonian = np.diag(spec.as_floats().astype(np.complex128))
+    tick = _tick_factor(spec, decomp.delta_tau)
 
     evolved = rho
     for _ in range(n_steps):
-        evolved = evolve_density(evolved, hamiltonian, decomp.delta_tau)
+        evolved = evolved * tick
     direct_grid = wigner_of_density(basis, evolved)
 
     shifted_grid = wigner_of_density(basis, rho)

@@ -8,19 +8,26 @@ clock/shift products over the symmetric exponent range -(N-1)/2..(N-1)/2,
 
 where m indexes the diagonal (energy) sector and n the Fourier-dual sector.
 The N^2 elements are Hermitian, have unit trace, and are trace-orthogonal
-with norm N, which makes mapping an operator to its lattice representative
-and back a pair of plain tensor contractions.
+with norm N.
+
+The maps between operators and lattice grids never form the elements.
+clock^j shift^l is nonzero only on the cyclic diagonal (r, r + l mod N), so
+Tr[(clock^j shift^l)^dag op] is a DFT over r of that diagonal of op; the
+grid is those N^2 values times a phase, transformed over (j, l) by a 2-D
+DFT.  Each map is one gather and three N x N matrix products: O(N^3) time
+and O(N^2) memory, where the elements take 16*N^4 bytes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotADensityMatrix
 from .numerics import hermitian_eig, hermiticity_defect
-from .schwinger import SchwingerPair, clock_power, shift_power
+from .schwinger import SchwingerPair, build_pair, clock_power, shift_power
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
@@ -29,14 +36,54 @@ DENSITY_EIG_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """Precomputed basis elements, shape (N, N, N, N); elements[m, n] is B(m, n)."""
+    """The N x N tables behind map_operator and unmap_grid.
+
+    With sym = -(N-1)/2..(N-1)/2 (the clock exponent j = sym[a], the shift
+    exponent l = sym[b]):
+
+    diag_dft[a, r]    = exp(-2*pi*i*sym[a]*r/N)
+    half_phase[a, b]  = exp(-i*pi*sym[a]*sym[b]/N)
+    lattice_dft[m, a] = exp(2*pi*i*m*sym[a]/N)
+    rows[r, 0] = r, cols[r, b] = r + sym[b] (mod N): op[rows, cols] holds the
+    cyclic diagonal sym[b] of op in column b.
+
+    ``elements`` (shape (N, N, N, N); elements[m, n] is B(m, n)) is summed
+    from the definition on first read and then cached.  It takes 16*N^4
+    bytes and serves only as the reference the basis checks examine.
+    """
 
     dim: int
-    elements: np.ndarray
+    diag_dft: np.ndarray
+    half_phase: np.ndarray
+    lattice_dft: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        return _basis_tensor(build_pair(self.dim))
 
 
 def build_basis(pair: SchwingerPair) -> OperatorBasis:
-    """Assemble and cache all N^2 basis matrices for the given pair."""
+    """Precompute the transform tables for the given pair (O(N^2) memory)."""
+    n = pair.dim
+    half = (n - 1) // 2
+    sym = np.arange(-half, half + 1)
+    labels = np.arange(n)
+    tables = dict(
+        diag_dft=np.exp(-2j * np.pi * (np.outer(sym, labels) % n) / n),
+        half_phase=np.exp(-1j * np.pi * (np.outer(sym, sym) % (2 * n)) / n),
+        lattice_dft=np.exp(2j * np.pi * (np.outer(labels, sym) % n) / n),
+        rows=labels[:, None],
+        cols=(labels[:, None] + sym) % n,
+    )
+    for arr in tables.values():
+        arr.setflags(write=False)
+    return OperatorBasis(dim=n, **tables)
+
+
+def _basis_tensor(pair: SchwingerPair) -> np.ndarray:
+    """All N^2 basis matrices, summed term by term from the definition."""
     n = pair.dim
     half = (n - 1) // 2
     sym = np.arange(-half, half + 1)
@@ -53,7 +100,7 @@ def build_basis(pair: SchwingerPair) -> OperatorBasis:
     partial = np.tensordot(fourier, weighted, axes=(1, 0))  # (m, b, r, s)
     elements = np.einsum("nb,mbrs->mnrs", fourier, partial) / n
     elements.setflags(write=False)
-    return OperatorBasis(dim=n, elements=elements)
+    return elements
 
 
 def _require_dim(basis: OperatorBasis, arr: np.ndarray, what: str) -> np.ndarray:
@@ -68,13 +115,20 @@ def _require_dim(basis: OperatorBasis, arr: np.ndarray, what: str) -> np.ndarray
 def map_operator(basis: OperatorBasis, op) -> np.ndarray:
     """Lattice representative of an operator: grid[m, n] = Tr[B(m, n)^dag op]."""
     op = _require_dim(basis, op, "operator")
-    return np.einsum("mnrs,rs->mn", basis.elements.conj(), op)
+    # chars[a, b] = Tr[(clock^sym[a] shift^sym[b])^dag op]
+    chars = basis.diag_dft @ op[basis.rows, basis.cols]
+    f = basis.lattice_dft
+    return f @ (basis.half_phase * chars) @ f.T / basis.dim
 
 
 def unmap_grid(basis: OperatorBasis, grid) -> np.ndarray:
     """Operator with the given lattice representative: (1/N) sum grid[m, n] B(m, n)."""
     grid = _require_dim(basis, grid, "grid")
-    return np.einsum("mn,mnrs->rs", grid, basis.elements) / basis.dim
+    f = basis.lattice_dft
+    chars = basis.half_phase.conj() * (f.conj().T @ grid @ f.conj())
+    op = np.empty_like(grid)
+    op[basis.rows, basis.cols] = basis.diag_dft.conj().T @ chars / basis.dim**2
+    return op
 
 
 def check_density(rho) -> np.ndarray:

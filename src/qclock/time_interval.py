@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency, NotScalarMultiple
-from .numerics import exp_from_eig, exp_hermitian, hermitian_eig
+from .numerics import EigenSystem, exp_from_eig
 from .phase_space import OperatorBasis, map_operator
 from .schwinger import SchwingerPair, build_pair, shift_power
 from .spectrum import Spectrum, SpectrumDecomposition
@@ -31,13 +31,22 @@ _SCALAR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TimeIntervalOperator:
-    """T in the clock basis, with its (analytic) eigenvalues dtau * l."""
+    """T in the clock basis, with its analytic eigensystem.
+
+    eigensystem.values are dtau * l (ascending) and column l of
+    eigensystem.vectors is the shift eigenvector |s_l>, so exp(-i*T*t) is
+    exp_from_eig(eigensystem, t) without a numerical eigensolve.
+    """
 
     dim: int
     delta_tau: float
     matrix: np.ndarray
-    eigenvalues: np.ndarray
+    eigensystem: EigenSystem
     decomp: SpectrumDecomposition
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.eigensystem.values
 
 
 def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> TimeIntervalOperator:
@@ -49,10 +58,14 @@ def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> T
     eigvecs = pair.fourier.conj().T  # column l is the l-th shift eigenvector
     eigvals = dtau * np.arange(n)
     matrix = (eigvecs * eigvals) @ eigvecs.conj().T
-    matrix.setflags(write=False)
-    eigvals.setflags(write=False)
+    for arr in (eigvecs, eigvals, matrix):
+        arr.setflags(write=False)
     return TimeIntervalOperator(
-        dim=n, delta_tau=dtau, matrix=matrix, eigenvalues=eigvals, decomp=decomp
+        dim=n,
+        delta_tau=dtau,
+        matrix=matrix,
+        eigensystem=EigenSystem(values=eigvals, vectors=eigvecs),
+        decomp=decomp,
     )
 
 
@@ -81,11 +94,10 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
     pair = build_pair(n)
     reference = shift_power(pair, -top.decomp.k * s)
     energies = spec.energies
-    es = hermitian_eig(top.matrix)  # one decomposition serves every gap
     worst = 0.0
     for m in range(n - s):
         gap = float(energies[m + s] - energies[m])
-        w = exp_from_eig(es, gap)
+        w = exp_from_eig(top.eigensystem, gap)
         worst = max(worst, float(np.max(np.abs(w - reference))))
     return worst
 
@@ -106,10 +118,9 @@ def verify_weyl_pair(
     if not 0 <= j < top.dim:
         raise IndexOutOfRange(f"ladder index {j} outside 0..{top.dim - 1}")
 
-    energies = [float(e) for e in decomp.energies()]
-    hamiltonian = np.diag(np.array(energies, dtype=np.complex128))
-    propagator = exp_hermitian(hamiltonian, n * top.delta_tau)
-    wexp = exp_hermitian(top.matrix, energies[j] - energies[0])
+    energies = np.array([float(e) for e in decomp.energies()])
+    propagator = np.diag(np.exp(-1j * energies * (n * top.delta_tau)))  # H is diagonal
+    wexp = exp_from_eig(top.eigensystem, energies[j] - energies[0])
     lhs = propagator @ wexp
     rhs = wexp @ propagator
     idx = int(np.argmax(np.abs(rhs)))

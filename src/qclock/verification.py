@@ -228,6 +228,14 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         np.abs(grid.sum(axis=0) - n * np.einsum("kn,nm,km->k", pair.fourier, rho, pair.fourier.conj()))
     )
     checks.append(_upper("basis-marginals", max(row_defect, col_defect), 1e-10))
+    # the fast maps against the contraction with the elements checked above
+    worst = 0.0
+    for op in (op_a, op_b, rho):
+        by_elements = np.einsum("mnrs,rs->mn", g.conj(), op)
+        worst = max(worst, float(np.max(np.abs(map_operator(basis, op) - by_elements))))
+        by_elements = np.einsum("mn,mnrs->rs", op, g) / n
+        worst = max(worst, float(np.max(np.abs(unmap_grid(basis, op) - by_elements))))
+    checks.append(_upper("basis-transform", worst, 1e-10))
 
     # spectrum gate
     soundness = 0.0
@@ -307,13 +315,12 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
 
     # the exchange phase only sees the ladder gap, not which rung it starts on
     energies = [float(e) for e in d_skew.energies()]
-    es_top = hermitian_eig(top_skew.matrix)
     prop = exp_hermitian(_diag_hamiltonian(skewed), top_skew.delta_tau)
     worst = 0.0
     for j in (1, 2):
         reference = verify_weyl_pair(top_skew, d_skew, 1, j)
         for m in range(n - j):
-            w = exp_from_eig(es_top, energies[m + j] - energies[m])
+            w = exp_from_eig(top_skew.eigensystem, energies[m + j] - energies[m])
             lhs = prop @ w
             rhs = w @ prop
             idx = int(np.argmax(np.abs(rhs)))

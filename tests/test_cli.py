@@ -312,3 +312,75 @@ def test_nonfinite_energy_is_malformed(tmp_path):
     proc = run_cli("analyze", "--spectrum", str(path))
     assert proc.returncode == 2
     assert "energies[2]" in proc.stderr
+
+
+def test_analyze_large_tick_measures_signs(tmp_path):
+    # rationalizes to omega = 1/33461, delta_tau ~ 42048: exp(-i*T*gap) is
+    # built from T's analytic eigensystem, so no Hermiticity gate scales with the tick
+    path = tmp_path / "big_tick.json"
+    path.write_text(json.dumps({"n": 5, "energies": [0, 1.4142135623730951, 2, 3, 4]}))
+    proc = run_cli("analyze", "--spectrum", str(path), "--format", "text")
+    assert proc.returncode == 0, proc.stderr
+    assert "signs: commutation=-1 shift_direction=-1 weyl_pair=-1" in proc.stdout.splitlines()
+
+
+# runs argv as its only child and reports that child's peak RSS
+_PEAK_RSS_WRAPPER = """
+import json, resource, subprocess, sys
+proc = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+json.dump({"code": proc.returncode, "stdout": proc.stdout, "peak_kb": peak_kb}, sys.stdout)
+"""
+
+
+def run_cli_peak_rss(*args):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_WRAPPER, sys.executable, "-m", "qclock", *args],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    return result["code"], result["stdout"], result["peak_kb"] / 1024.0
+
+
+def test_clock_and_wigner_at_n211(tmp_path):
+    from qclock import (
+        Spectrum,
+        build_basis,
+        build_pair,
+        clock_run,
+        decompose_spectrum,
+        evolve_density,
+        shift_eigenvector,
+        wigner_of_density,
+    )
+
+    n = 211
+    path = tmp_path / "harmonic_n211.json"
+    path.write_text(json.dumps({"n": n, "energies": list(range(n))}))
+    spec = Spectrum(n, tuple(range(n)))
+    decomp = decompose_spectrum(spec)
+    pair = build_pair(n)
+    basis = build_basis(pair)
+
+    code, out, peak_mb = run_cli_peak_rss(
+        "wigner", "--spectrum", str(path), "--state", "v:0", "--step", "1", "--format", "json"
+    )
+    assert code == 0
+    assert peak_mb < 200
+    vec = shift_eigenvector(pair, 0)
+    hamiltonian = np.diag(spec.as_floats().astype(complex))
+    rho = evolve_density(np.outer(vec, vec.conj()), hamiltonian, decomp.delta_tau)
+    expected = wigner_of_density(basis, rho).real
+    assert np.max(np.abs(np.array(json.loads(out)["values"]) - expected)) < 1e-12
+
+    code, out, peak_mb = run_cli_peak_rss("clock", "--spectrum", str(path), "--steps", "3")
+    assert code == 0
+    assert peak_mb < 200
+    trace = clock_run(pair, basis, decomp, spec, 0, 3)
+    records = json.loads(out)["steps_records"]
+    assert [(r["occupied_index"], r["occupied_probability"]) for r in records] == [
+        (s.occupied_index, s.occupied_probability) for s in trace.steps
+    ]

@@ -1,11 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qclock.phase_space
 from qclock import (
     DimensionMismatch,
     NotADensityMatrix,
+    Spectrum,
+    build_basis,
     check_density,
     clock_power,
+    clock_run,
+    decompose_spectrum,
     map_operator,
     shift_eigenvector,
     unmap_grid,
@@ -168,3 +177,65 @@ def test_density_checks_name_the_failure(basis5):
 def test_check_density_accepts_pure_state():
     vec = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
     check_density(np.outer(vec, vec.conj()))
+
+
+def map_by_elements(basis, op):
+    return np.einsum("mnrs,rs->mn", basis.elements.conj(), op)
+
+
+def unmap_by_elements(basis, grid):
+    return np.einsum("mn,mnrs->rs", grid, basis.elements) / basis.dim
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 11, 13])
+def test_maps_agree_with_elements(dim):
+    basis = cached_basis(dim)
+    rng = np.random.default_rng(200 + dim)
+    for _ in range(5):
+        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert np.max(np.abs(map_operator(basis, op) - map_by_elements(basis, op))) < 1e-12
+        assert np.max(np.abs(unmap_grid(basis, op) - unmap_by_elements(basis, op))) < 1e-12
+
+
+@st.composite
+def operators(draw):
+    dim = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    part = st.floats(-100.0, 100.0)
+    re = np.array(draw(st.lists(part, min_size=dim * dim, max_size=dim * dim)))
+    im = np.array(draw(st.lists(part, min_size=dim * dim, max_size=dim * dim)))
+    return (re + 1j * im).reshape(dim, dim)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(operators())
+def test_maps_property(op):
+    basis = cached_basis(op.shape[0])
+    scale = max(1.0, float(np.max(np.abs(op))))
+    grid = map_operator(basis, op)
+    assert np.max(np.abs(grid - map_by_elements(basis, op))) < 1e-12 * scale
+    assert np.max(np.abs(unmap_grid(basis, op) - unmap_by_elements(basis, op))) < 1e-12 * scale
+    assert np.max(np.abs(unmap_grid(basis, grid) - op)) < 1e-12 * scale
+
+
+def test_elements_cached_and_read_only():
+    basis = build_basis(cached_pair(3))
+    assert basis.elements is basis.elements
+    assert not basis.elements.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.elements = np.zeros((3, 3, 3, 3))
+
+
+def test_n31_paths_never_build_elements(monkeypatch):
+    def refuse(pair):
+        raise AssertionError("the N^4 element tensor was built")
+
+    monkeypatch.setattr(qclock.phase_space, "_basis_tensor", refuse)
+    n = 31
+    pair = cached_pair(n)
+    basis = build_basis(pair)
+    spec = Spectrum(n, tuple(range(n)))
+    vec = shift_eigenvector(pair, 3)
+    map_operator(basis, np.eye(n))
+    wigner_of_density(basis, np.outer(vec, vec.conj()))
+    clock_run(pair, basis, decompose_spectrum(spec), spec, 0, 2 * n)
+    assert "elements" not in vars(basis)

@@ -14,6 +14,7 @@ from qclock import (
     verify_energy_shift,
     verify_weyl_pair,
 )
+from qclock.numerics import exp_from_eig
 from conftest import cached_basis, cached_pair
 
 HARMONIC5 = Spectrum(5, (0, 1, 2, 3, 4))
@@ -31,6 +32,16 @@ def quadratic_spectrum(dim):
 def test_eigenvalues_harmonic_n5():
     top = top_for(HARMONIC5)
     assert np.max(np.abs(top.eigenvalues - 2 * np.pi / 5 * np.arange(5))) < 1e-15
+
+
+@pytest.mark.parametrize("spec", [HARMONIC5, SKEWED5])
+def test_analytic_eigensystem(spec):
+    top = top_for(spec)
+    es = top.eigensystem
+    assert np.max(np.abs((es.vectors * es.values) @ es.vectors.conj().T - top.matrix)) < 1e-12
+    assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(5))) < 1e-12
+    assert np.array_equal(es.values, top.eigenvalues)
+    assert np.max(np.abs(exp_hermitian(top.matrix, 0.83) - exp_from_eig(es, 0.83))) < 1e-12
 
 
 def test_trace_n3():
