@@ -120,8 +120,12 @@ def load_spectrum_file(path: str) -> dict:
             raw = json.load(handle)
     except OSError as exc:
         raise SpectrumFileError(f"cannot read spectrum file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpectrumFileError(f"spectrum file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpectrumFileError(f"spectrum file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpectrumFileError(f"spectrum file is nested too deeply: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise SpectrumFileError("spectrum file must be a JSON object")

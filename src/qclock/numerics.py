@@ -148,8 +148,11 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
     if not math.isfinite(x):
         raise ValueError("x must be finite")
 
+    # |p/q - a/b| <= c/d  <=>  |p*b - a*q| * d <= c * q * b, as all of q, b, d > 0
     target = Fraction(x)
     tol = Fraction(tolerance)
+    a, b = target.numerator, target.denominator
+    c, d = tol.numerator, tol.denominator
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
     xi = float(x)
@@ -159,9 +162,8 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
         q_cur = a0 * q_prev + q_prev2
         if q_cur > max_denominator:
             break
-        candidate = Fraction(p_cur, q_cur)
-        if abs(candidate - target) <= tol:
-            return candidate
+        if abs(p_cur * b - a * q_cur) * d <= c * q_cur * b:
+            return Fraction(p_cur, q_cur)
         p_prev, p_prev2 = p_cur, p_prev
         q_prev, q_prev2 = q_cur, q_prev
         frac = xi - a0
@@ -182,10 +184,12 @@ def rational_gcd(xs) -> Fraction:
     are ignored and zeros are transparent.  Raises AllZero when every input
     vanishes (every rational would divide).
     """
-    fracs = [abs(Fraction(x)) for x in xs]
-    nonzero = [f for f in fracs if f != 0]
-    if not nonzero:
+    num, den = 0, 1
+    for x in xs:
+        f = Fraction(x)
+        if f:
+            num = math.gcd(num, f.numerator)
+            den = math.lcm(den, f.denominator)
+    if not num:
         raise AllZero("rational gcd needs at least one nonzero value")
-    num = math.gcd(*(f.numerator for f in nonzero))
-    den = math.lcm(*(f.denominator for f in nonzero))
     return Fraction(num, den)

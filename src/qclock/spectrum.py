@@ -46,7 +46,7 @@ class Spectrum:
     def __post_init__(self):
         if not is_odd_prime(self.dim):
             raise DimensionNotOddPrime(f"dimension must be an odd prime, got {self.dim}")
-        energies = tuple(Fraction(e) for e in self.energies)
+        energies = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.energies)
         if len(energies) != self.dim:
             raise ValueError(f"expected {self.dim} energies, got {len(energies)}")
         object.__setattr__(self, "energies", energies)
@@ -123,10 +123,12 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
     if all(e == energies[0] for e in energies):
         raise DegenerateSpectrum("all energies equal; no nonzero clock power fits")
 
-    omega = rational_gcd([e for e in energies if e != 0])
-    ratios = [e / omega for e in energies]
-    assert all(r.denominator == 1 for r in ratios)
-    ratios = [int(r) for r in ratios]
+    omega = rational_gcd(energies)
+    # E_m / omega = (p/q) / (g/L) = p * (L/q) / g, with L a multiple of every q
+    g, lcm = omega.numerator, omega.denominator
+    scaled = [e.numerator * (lcm // e.denominator) for e in energies]
+    assert all(s % g == 0 for s in scaled)
+    ratios = [s // g for s in scaled]
     residues = tuple(r % n for r in ratios)
 
     def certificate(first_bad):

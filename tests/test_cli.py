@@ -110,6 +110,33 @@ def test_missing_file_is_malformed_input():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "raw,code,needle",
+    [
+        (b'{"n": 3, "energies": [0, 1, 2], "label": "\xff"}', 2, "not UTF-8"),
+        (b'{"n": 3, "energies": ' + b"[" * 5000 + b"]" * 5000 + b"}", 2, "nested too deeply"),
+        (b"\xef\xbb\xbf" + b'{"n": 3, "energies": [0, 1, 2]}', 2, "BOM"),
+        (b'{"n": 1' + b"0" * 400 + b', "energies": [0, 1, 2]}', 2, "'energies'"),
+        (b'{"n": 3, "energies": [0, 1, 1' + b"0" * 400 + b"]}", 3, ""),
+        (b'{"n": 3, "energies": ["-0/5", 1, 2]}', 0, ""),
+    ],
+    ids=["non-utf8", "deep-nesting", "bom", "huge-n", "huge-energy", "negative-zero"],
+)
+def test_hostile_files_end_in_a_named_exit_code(tmp_path, raw, code, needle):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(raw)
+    proc = run_cli("analyze", "--spectrum", str(path))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+
+
+def test_directory_is_malformed_input(tmp_path):
+    proc = run_cli("analyze", "--spectrum", str(tmp_path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_clock_harmonic_sequence():
     proc = run_cli("clock", "--spectrum", HARMONIC, "--steps", "5")
     assert proc.returncode == 0

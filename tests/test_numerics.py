@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -203,6 +204,98 @@ def test_rationalize_roundtrip_seeded():
         p = int(rng.integers(-1000 * q, 1000 * q + 1))
         want = Fraction(p, q)
         assert rationalize(float(want), 1e-9, 10**6) == want
+
+
+def reference_rationalize(x, tolerance, max_denominator):
+    """The convergent walk with a Fraction built and subtracted per convergent."""
+    target = Fraction(x)
+    tol = Fraction(tolerance)
+    p_prev, p_prev2 = 1, 0
+    q_prev, q_prev2 = 0, 1
+    xi = float(x)
+    for _ in range(64):
+        a0 = math.floor(xi)
+        p_cur = a0 * p_prev + p_prev2
+        q_cur = a0 * q_prev + q_prev2
+        if q_cur > max_denominator:
+            break
+        candidate = Fraction(p_cur, q_cur)
+        if abs(candidate - target) <= tol:
+            return candidate
+        p_prev, p_prev2 = p_cur, p_prev
+        q_prev, q_prev2 = q_cur, q_prev
+        frac = xi - a0
+        if frac <= 0.0:
+            break
+        xi = 1.0 / frac
+        if not math.isfinite(xi):
+            break
+    return None
+
+
+def rationalize_or_none(x, tolerance, max_denominator):
+    try:
+        return rationalize(x, tolerance, max_denominator)
+    except NoRationalWithinTolerance:
+        return None
+
+
+def test_rationalize_matches_fraction_reference():
+    outcomes = set()
+    near_fractions = st.builds(
+        lambda f, noise: float(f) + noise,
+        st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4),
+        st.sampled_from([0.0, 1e-12, -3e-10, 1e-7, 2.0**-40]),
+    )
+    xs = st.one_of(
+        near_fractions,
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(min_value=-(2**80), max_value=2**80),
+    )
+    tolerances = st.one_of(
+        st.sampled_from([5e-324, 1e-15, 1e-9, 1e-6, 0.5, 1.0]),
+        st.floats(min_value=5e-324, max_value=10.0),
+    )
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(xs, tolerances, st.integers(min_value=1, max_value=10**12))
+    def agrees(x, tolerance, max_denominator):
+        got = rationalize_or_none(x, tolerance, max_denominator)
+        assert got == reference_rationalize(x, tolerance, max_denominator)
+        if got is not None:
+            assert type(got) is Fraction and got.denominator <= max_denominator
+        outcomes.add(got is None)
+
+    agrees()
+    assert outcomes == {True, False}  # both the value and the rejection were compared
+
+
+def test_rationalize_negative_values():
+    assert rationalize(-2.6, 0.5, 1) == -3
+    assert rationalize(-0.3333333333, 1e-6, 100) == Fraction(-1, 3)
+    assert rationalize(-1e-300, 1e-9, 10) == 0
+
+
+def test_rationalize_int_beyond_float_precision_is_exact():
+    # float(2**53 + 1) == 2**53: the distance is measured on the int itself
+    x = 2**53 + 1
+    assert rationalize(x, 1.0, 10) == 2**53
+    with pytest.raises(NoRationalWithinTolerance):
+        rationalize(x, 0.5, 10)
+
+
+def test_rationalize_smallest_subnormal_tolerance():
+    assert rationalize(0.25, 5e-324, 10) == Fraction(1, 4)
+    assert rationalize(-7.0, 5e-324, 1) == -7
+    with pytest.raises(NoRationalWithinTolerance):
+        rationalize(0.1, 5e-324, 10**6)  # 0.1 is 3602879701896397 / 2**55
+
+
+def test_rationalize_max_denominator_one():
+    assert rationalize(2.4, 0.5, 1) == 2
+    assert rationalize(2.6, 0.5, 1) == 3  # the second convergent, 3/1
+    with pytest.raises(NoRationalWithinTolerance):
+        rationalize(2.5, 0.25, 1)
 
 
 def test_rational_gcd_integers():

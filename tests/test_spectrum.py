@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qclock import (
     DegenerateSpectrum,
@@ -16,6 +19,7 @@ from qclock import (
     decompose_spectrum,
     exp_hermitian,
     power_at_step,
+    rational_gcd,
 )
 from qclock.verification import random_compatible_spectrum
 from conftest import cached_pair
@@ -187,3 +191,134 @@ def test_spectrum_validates_shape():
 
     with pytest.raises(DimensionNotOddPrime):
         Spectrum(4, (0, 1, 2, 3))
+
+
+def test_spectrum_converts_only_non_fractions():
+    half = Fraction(1, 2)
+    spec = Spectrum(3, (0, half, "3/4"))
+    assert spec.energies == (0, Fraction(1, 2), Fraction(3, 4))
+    assert all(type(e) is Fraction for e in spec.energies)
+    assert spec.energies[1] is half
+
+
+# --- Hypothesis properties of the exact gate ------------------------------
+
+DIMS = st.sampled_from([3, 5, 7, 11])
+RATIONALS = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+OMEGAS = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50)
+
+
+@st.composite
+def rational_spectra(draw):
+    """Arbitrary rational energies (zeros and negatives included), not all equal."""
+    n = draw(DIMS)
+    energies = draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    assume(len(set(energies)) > 1)
+    return Spectrum(n, tuple(energies))
+
+
+@st.composite
+def clock_spectra(draw):
+    """E_m = omega*(k*m + N*f(m)) with random omega, k and integer offsets."""
+    n = draw(DIMS)
+    k = draw(st.integers(1, n - 1))
+    omega = draw(OMEGAS)
+    f = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    return Spectrum(n, tuple(omega * (k * m + n * f[m]) for m in range(n)))
+
+
+@st.composite
+def broken_clock_spectra(draw):
+    """A clock spectrum with one energy moved by a multiple of omega off the lattice."""
+    spec = draw(clock_spectra())
+    n = spec.dim
+    i = draw(st.integers(0, n - 1))
+    step = draw(st.integers(1, n - 1)) + n * draw(st.integers(-3, 3))
+    omega = rational_gcd(spec.energies)
+    energies = list(spec.energies)
+    energies[i] += step * omega
+    return Spectrum(n, tuple(energies))
+
+
+SPECTRA = st.one_of(clock_spectra(), rational_spectra(), broken_clock_spectra())
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def reference_decompose(spec):
+    """The gate with Fraction division: omega = gcd(p)/lcm(q), ratios E_m/omega."""
+    n = spec.dim
+    nonzero = [abs(e) for e in spec.energies if e != 0]
+    omega = Fraction(
+        math.gcd(*(e.numerator for e in nonzero)), math.lcm(*(e.denominator for e in nonzero))
+    )
+    ratios = [e / omega for e in spec.energies]
+    assert all(r.denominator == 1 for r in ratios)
+    residues = tuple(int(r) % n for r in ratios)
+    first_bad = brute_force_first_bad_index(residues, n)
+    if first_bad is not None:
+        return IncompatibilityCertificate(
+            reason=RESIDUES_NOT_LINEAR,
+            residues=residues,
+            first_bad_index=first_bad,
+            detail=f"residues {list(residues)} are not k*m (mod {n}) for any k; "
+            f"first obstruction at m={first_bad}",
+        )
+    k = residues[1]
+    return SpectrumDecomposition(
+        dim=n, omega=omega, k=k, f=tuple((int(ratios[m]) - k * m) // n for m in range(n))
+    )
+
+
+def brute_force_first_bad_index(residues, n):
+    """First m after which no k in 1..N-1 fits residues[0..m] as k*m mod N."""
+    for m in range(n):
+        fits = [
+            k for k in range(1, n) if all(residues[j] == (k * j) % n for j in range(m + 1))
+        ]
+        if not fits:
+            return m
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(clock_spectra())
+def test_gate_round_trips_energies(spec):
+    dec = decompose_spectrum(spec)
+    assert isinstance(dec, SpectrumDecomposition)
+    assert dec.energies() == spec.energies
+    assert all(dec.energy(m) == spec.energies[m] for m in range(spec.dim))
+
+
+@PROPERTY_SETTINGS
+@given(SPECTRA, st.integers(2, 40))
+def test_gate_verdict_invariant_under_integer_rescaling(spec, t):
+    scaled = Spectrum(spec.dim, tuple(t * e for e in spec.energies))
+    before, after = decompose_spectrum(spec), decompose_spectrum(scaled)
+    assert type(before) is type(after)
+    if isinstance(before, SpectrumDecomposition):
+        assert (after.k, after.f, after.omega) == (before.k, before.f, t * before.omega)
+    else:
+        assert after.residues == before.residues
+        assert after.first_bad_index == before.first_bad_index
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(broken_clock_spectra(), rational_spectra()))
+def test_certificate_index_is_first_failing_m(spec):
+    result = decompose_spectrum(spec)
+    omega = rational_gcd(spec.energies)
+    residues = tuple(int(e / omega) % spec.dim for e in spec.energies)
+    first_bad = brute_force_first_bad_index(residues, spec.dim)
+    if first_bad is None:
+        assert isinstance(result, SpectrumDecomposition)
+    else:
+        assert isinstance(result, IncompatibilityCertificate)
+        assert result.reason == RESIDUES_NOT_LINEAR
+        assert result.residues == residues
+        assert result.first_bad_index == first_bad
+
+
+@PROPERTY_SETTINGS
+@given(SPECTRA)
+def test_gate_matches_fraction_division_reference(spec):
+    assert decompose_spectrum(spec) == reference_decompose(spec)
