@@ -9,17 +9,19 @@ deterministic function of (input file, flags, seed): floats are printed with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import math
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
-from .dynamics import clock_run, evolve_density, measure_shift_sign
+from .dynamics import clock_run, conjugate_diagonal, measure_shift_sign
 from .errors import (
     DegenerateSpectrum,
     DimensionNotOddPrime,
@@ -53,6 +55,22 @@ _RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
 
 class SpectrumFileError(QClockError):
     """Malformed spectrum file; the message names the offending field."""
+
+
+# a JSON integer with more digits than int() converts from a string
+_LongInteger = namedtuple("_LongInteger", "digits")
+
+
+def _parse_int(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(len(text.lstrip("+-")))
+
+
+def _require_convertible(value, field: str) -> None:
+    if isinstance(value, _LongInteger):
+        raise SpectrumFileError(f"{field} has {value.digits} digits, more than int() converts")
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +135,7 @@ def load_spectrum_file(path: str) -> dict:
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_int=_parse_int)
     except OSError as exc:
         raise SpectrumFileError(f"cannot read spectrum file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -137,6 +155,7 @@ def load_spectrum_file(path: str) -> dict:
         raise SpectrumFileError(f"missing field {missing!r} in spectrum file")
 
     n = raw["n"]
+    _require_convertible(n, "field 'n'")
     if isinstance(n, bool) or not isinstance(n, int):
         raise SpectrumFileError("field 'n' must be an integer")
     energies = raw["energies"]
@@ -147,12 +166,16 @@ def load_spectrum_file(path: str) -> dict:
             f"field 'energies' has {len(energies)} entries, expected n = {n}"
         )
     for i, entry in enumerate(energies):
+        _require_convertible(entry, f"energies[{i}]")
         if isinstance(entry, bool):
             raise SpectrumFileError(f"energies[{i}] must be a number or 'p/q' string")
         if isinstance(entry, str):
             if not _RATIO_RE.match(entry):
                 raise SpectrumFileError(f"energies[{i}] is not a 'p/q' string: {entry!r}")
-            if int(entry.split("/")[1]) == 0:
+            parts = [_parse_int(part) for part in entry.split("/")]
+            for part in parts:
+                _require_convertible(part, f"energies[{i}]")
+            if parts[1] == 0:
                 raise SpectrumFileError(f"energies[{i}] has zero denominator: {entry!r}")
         elif not isinstance(entry, (int, float)):
             raise SpectrumFileError(f"energies[{i}] must be a number or 'p/q' string")
@@ -164,13 +187,6 @@ def load_spectrum_file(path: str) -> dict:
     return {"n": n, "energies": energies, "label": label}
 
 
-def _entry_as_float(entry) -> float:
-    if isinstance(entry, str):
-        num, den = entry.split("/")
-        return int(num) / int(den)
-    return float(entry)
-
-
 def _entries_to_fractions(entries, tolerance: float, max_denominator: int):
     """Exact entries stay exact; floats go through rationalize.
 
@@ -180,11 +196,7 @@ def _entries_to_fractions(entries, tolerance: float, max_denominator: int):
     fractions = []
     residuals = []
     for i, entry in enumerate(entries):
-        if isinstance(entry, str):
-            num, den = entry.split("/")
-            fractions.append(Fraction(int(num), int(den)))
-            residuals.append(0.0)
-        elif isinstance(entry, int):
+        if isinstance(entry, (str, int)):  # "p/q" strings and ints are exact
             fractions.append(Fraction(entry))
             residuals.append(0.0)
         else:
@@ -404,16 +416,7 @@ def cmd_clock(args) -> int:
             "k": trace.k,
             "direction_sign": trace.direction_sign,
             "delta_tau": trace.delta_tau,
-            "steps_records": [
-                {
-                    "j": rec.j,
-                    "time": rec.time,
-                    "occupied_index": rec.occupied_index,
-                    "occupied_probability": rec.occupied_probability,
-                    "max_offsite": rec.max_offsite,
-                }
-                for rec in trace.steps
-            ],
+            "steps_records": [dataclasses.asdict(rec) for rec in trace.steps],
         }
         _emit(_dump_json(report))
     else:
@@ -456,8 +459,16 @@ def cmd_wigner(args) -> int:
     if args.step is not None:
         _, decomp = _compatible(data)
         t = args.step * decomp.delta_tau
+        phases = decomp.tick_phases(args.step)
     else:
         t = args.time
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                phases = Spectrum(dim=n, energies=tuple(data["energies"])).phases(t)
+        except OverflowError as exc:
+            raise SpectrumFileError(str(exc)) from exc
+        if not np.all(np.isfinite(phases)):
+            raise SpectrumFileError(f"--time {t!r} times an energy exceeds the float64 range")
 
     pair = build_pair(n)
     basis = build_basis(pair)
@@ -470,10 +481,7 @@ def cmd_wigner(args) -> int:
         rho = np.zeros((n, n), dtype=np.complex128)
         rho[index, index] = 1.0
 
-    hamiltonian = np.diag(
-        np.array([_entry_as_float(e) for e in data["energies"]], dtype=np.complex128)
-    )
-    grid = wigner_of_density(basis, evolve_density(rho, hamiltonian, t))
+    grid = wigner_of_density(basis, conjugate_diagonal(rho, phases))
 
     imag_defect = float(np.max(np.abs(grid.imag)))
     real_ok = imag_defect < 1e-10
@@ -535,16 +543,7 @@ def cmd_verify(args) -> int:
             "seed": report.seed,
             "passed": report.passed,
             "signs": dict(report.signs),
-            "checks": [
-                {
-                    "name": chk.name,
-                    "residual": chk.residual,
-                    "threshold": chk.threshold,
-                    "mode": chk.mode,
-                    "passed": chk.passed,
-                }
-                for chk in report.checks
-            ],
+            "checks": [dataclasses.asdict(chk) for chk in report.checks],
         }
         _emit(_dump_json(payload))
     else:

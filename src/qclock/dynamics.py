@@ -77,14 +77,13 @@ def stroboscopic_step(grid, k: int, sign: int) -> np.ndarray:
     return np.roll(grid, sign * k, axis=1)
 
 
-def _tick_factor(spec: Spectrum, dtau: float) -> np.ndarray:
-    """Entrywise factor of one tick: exp(-i*H*dtau) rho exp(i*H*dtau) = rho * factor.
+def conjugate_diagonal(rho, phases) -> np.ndarray:
+    """exp(-i*H*t) rho exp(i*H*t) for H = diag(E), given phases p = exp(-i*E*t).
 
-    H = diag(E) is diagonal in the clock basis, so the propagator is the
-    phase vector p = exp(-i*E*dtau) and the conjugation is rho[m, n] p_m p_n^*.
+    The propagator is diagonal in the clock basis, so the conjugation is the
+    entrywise product rho[m, n] p_m p_n^*; no eigensolve.
     """
-    phases = np.exp(-1j * spec.as_floats() * dtau)
-    return np.outer(phases, phases.conj())
+    return rho * np.outer(phases, np.conj(phases))
 
 
 def measure_shift_sign(pair: SchwingerPair, decomp: SpectrumDecomposition) -> int:
@@ -94,8 +93,7 @@ def measure_shift_sign(pair: SchwingerPair, decomp: SpectrumDecomposition) -> in
     or -k (mod N); those differ for every k in 1..N-1 at odd prime N.
     """
     n = pair.dim
-    energies = np.array([float(e) for e in decomp.energies()])
-    moved = np.exp(-1j * energies * decomp.delta_tau) * shift_eigenvector(pair, 0)
+    moved = decomp.tick_phases(1) * shift_eigenvector(pair, 0)
     populations = np.abs(pair.fourier @ moved) ** 2
     occupied = int(np.argmax(populations))
     if occupied == decomp.k % n:
@@ -140,7 +138,7 @@ def clock_run(
         raise ValueError("steps must be >= 1")
 
     dtau = decomp.delta_tau
-    tick = _tick_factor(spec, dtau)
+    tick = decomp.tick_phases(1)
     state = shift_eigenvector(pair, initial_index)
     rho = np.outer(state, state.conj())
 
@@ -161,7 +159,7 @@ def clock_run(
             )
         )
         if j < steps:
-            rho = rho * tick
+            rho = conjugate_diagonal(rho, tick)
 
     first = records[1].occupied_index
     if first == (initial_index + decomp.k) % n:
@@ -208,11 +206,11 @@ def shift_vs_evolution_residual(
 
     rho = check_density(rho)
     sign = measure_shift_sign(pair, decomp)
-    tick = _tick_factor(spec, decomp.delta_tau)
+    tick = decomp.tick_phases(1)
 
     evolved = rho
     for _ in range(n_steps):
-        evolved = evolved * tick
+        evolved = conjugate_diagonal(evolved, tick)
     direct_grid = wigner_of_density(basis, evolved)
 
     shifted_grid = wigner_of_density(basis, rho)

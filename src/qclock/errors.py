@@ -49,7 +49,7 @@ class DegenerateSpectrum(QClockError):
 
 
 class IncompatibleSpectrum(QClockError):
-    """Spectrum does not match the decomposition it is used with."""
+    """Spectrum does not match its decomposition, or its tick is no float64."""
 
 
 class InternalConsistency(QClockError):

@@ -57,10 +57,10 @@ def hermiticity_defect(a) -> float:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues (real, ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (real, ascending) and orthonormal eigenvector columns (or None)."""
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
 
 def _first_sizable(col: np.ndarray) -> int:
@@ -68,13 +68,14 @@ def _first_sizable(col: np.ndarray) -> int:
     return int(idx[0]) if idx.size else int(np.argmax(np.abs(col)))
 
 
-def hermitian_eig(a) -> EigenSystem:
+def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
     """Eigendecomposition of a complex Hermitian matrix (LAPACK ``eigh``).
 
     Eigenvalues come back ascending; eigenvector columns are orthonormal and
     gauge-fixed (first sizable component real positive).  Within a degenerate
     cluster the columns are ordered by that component's real part, so repeated
-    runs on the same matrix give identical output.
+    runs on the same matrix give identical output.  With vectors=False only
+    the eigenvalues are computed (``eigvalsh``) and ``vectors`` is None.
 
     Raises NotHermitian when max|a - a^dag| exceeds 1e-12, NoConvergence when
     LAPACK reports that the decomposition did not converge.
@@ -88,9 +89,13 @@ def hermitian_eig(a) -> EigenSystem:
     work = 0.5 * (arr + arr.conj().T)  # exact Hermitian symmetrization
     scale = max(1.0, float(np.max(np.abs(work))) if work.size else 0.0)
     try:
+        if not vectors:
+            values = np.linalg.eigvalsh(work)
+            values.setflags(write=False)
+            return EigenSystem(values=values, vectors=None)
         values, vecs = np.linalg.eigh(work)  # values ascending
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigh did not converge: {exc}") from exc
+        raise NoConvergence(f"LAPACK did not converge: {exc}") from exc
 
     for j in range(n):
         pivot = vecs[_first_sizable(vecs[:, j]), j]
@@ -155,23 +160,19 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
     c, d = tol.numerator, tol.denominator
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
-    xi = float(x)
-    for _ in range(64):
-        a0 = math.floor(xi)
+    num, den = a, b  # Euclid on a/b: the partial quotients are exact
+    while True:
+        a0, rem = divmod(num, den)
         p_cur = a0 * p_prev + p_prev2
         q_cur = a0 * q_prev + q_prev2
         if q_cur > max_denominator:
             break
+        # rem == 0 makes p_cur/q_cur == a/b, which passes: the loop ends
         if abs(p_cur * b - a * q_cur) * d <= c * q_cur * b:
             return Fraction(p_cur, q_cur)
         p_prev, p_prev2 = p_cur, p_prev
         q_prev, q_prev2 = q_cur, q_prev
-        frac = xi - a0
-        if frac <= 0.0:
-            break
-        xi = 1.0 / frac
-        if not math.isfinite(xi):
-            break
+        num, den = den, rem
     raise NoRationalWithinTolerance(
         f"no p/q with q <= {max_denominator} lies within {tolerance} of {x!r}"
     )

@@ -145,7 +145,7 @@ def check_density(rho) -> np.ndarray:
     if trace_defect > DENSITY_TRACE_TOL:
         raise NotADensityMatrix(f"trace differs from 1 by {trace_defect:.3e}")
     # symmetrize: the 1e-10 hermiticity allowance exceeds the eigensolver's gate
-    smallest = float(hermitian_eig(0.5 * (rho + rho.conj().T)).values[0])
+    smallest = float(hermitian_eig(0.5 * (rho + rho.conj().T), vectors=False).values[0])
     if smallest < DENSITY_EIG_FLOOR:
         raise NotADensityMatrix(f"negative eigenvalue {smallest:.3e}")
     return rho

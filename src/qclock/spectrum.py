@@ -18,6 +18,9 @@ reference frequency).  The decision procedure is exact rational arithmetic:
    The ground energy is *not* shifted away: r_0 != 0 is a legitimate failure.
 
 On success the smallest admissible interval is dtau = 2*pi/(N*omega).
+At t = j*dtau the phase exp(-i*N*omega*t) is a whole number of turns, so
+the propagator sees each energy only mod N*omega: the tick phases are
+formed from the energies reduced exactly, in integers, before any float.
 """
 
 from __future__ import annotations
@@ -25,11 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionNotOddPrime, NoRationalWithinTolerance
+from .errors import (
+    DegenerateSpectrum,
+    DimensionNotOddPrime,
+    IncompatibleSpectrum,
+    NoRationalWithinTolerance,
+)
 from .numerics import is_odd_prime, rational_gcd, rationalize
 
 NOT_COMMENSURABLE = "NotCommensurable"
@@ -52,7 +61,44 @@ class Spectrum:
         object.__setattr__(self, "energies", energies)
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(e) for e in self.energies])
+        """The energies in float64; OverflowError names the first that does not fit."""
+        out = np.empty(self.dim)
+        for m, e in enumerate(self.energies):
+            try:
+                out[m] = float(e)
+            except OverflowError:
+                raise OverflowError(f"energy {m} is beyond the float64 range") from None
+        return out
+
+    def phases(self, t: float) -> np.ndarray:
+        """exp(-i*E_m*t) at any t: the diagonal of exp(-i*H*t) for H = diag(E)."""
+        return _phase_vector(self.as_floats(), t)
+
+
+def _phase_vector(energies: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*E*t) for float64 energies; every diagonal propagator comes from here."""
+    return np.exp(-1j * energies * float(t))
+
+
+def _over_common_denominator(values, unit: Fraction):
+    """Integers a, u, D with values[i] = a[i]/D and unit = u/D."""
+    den = math.lcm(unit.denominator, *(v.denominator for v in values))
+    scaled = [v.numerator * (den // v.denominator) for v in values]
+    return scaled, unit.numerator * (den // unit.denominator), den
+
+
+def reduce_mod_period(energies, omega: Fraction, dim: int) -> np.ndarray:
+    """E_m mod N*omega for each rational energy, exact in integers, then float64.
+
+    exp(-i*E*t) is unchanged by E -> E mod N*omega at every multiple t of the
+    tick 2*pi/(N*omega), and so is exp(-i*T*E) for the time-interval operator
+    T, whose eigenvalues are multiples of the tick.  The reduced values lie in
+    [0, N*omega), so their float products with t are accurate however large
+    the energies are.  Only omega enters, never k or f.
+    """
+    scaled, unit, den = _over_common_denominator(energies, omega)
+    period = dim * unit
+    return np.array([(a % period) / den for a in scaled])
 
 
 @dataclass(frozen=True)
@@ -71,8 +117,28 @@ class SpectrumDecomposition:
 
     @property
     def delta_tau(self) -> float:
-        """Smallest interval at which the propagator is a clock power."""
-        return 2.0 * math.pi / (self.dim * float(self.omega))
+        """Smallest interval at which the propagator is a clock power.
+
+        Raises IncompatibleSpectrum when it is not a finite positive float64.
+        """
+        try:
+            dtau = 2.0 * math.pi / (self.dim * float(self.omega))
+        except (OverflowError, ZeroDivisionError):
+            dtau = 0.0
+        if not 0.0 < dtau < math.inf:
+            raise IncompatibleSpectrum("the tick 2*pi/(N*omega) is not a finite positive float64")
+        return dtau
+
+    @cached_property
+    def tick_energies(self) -> np.ndarray:
+        """The energies mod N*omega (reduce_mod_period), computed on first use."""
+        reduced = reduce_mod_period(self.energies(), self.omega, self.dim)
+        reduced.setflags(write=False)
+        return reduced
+
+    def tick_phases(self, j: int) -> np.ndarray:
+        """exp(-i*E_m*j*dtau), the diagonal of the propagator over j ticks."""
+        return _phase_vector(self.tick_energies, j * self.delta_tau)
 
     def energy(self, m: int) -> Fraction:
         return self.omega * (self.k * m + self.dim * self.f[m])
@@ -124,9 +190,8 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
         raise DegenerateSpectrum("all energies equal; no nonzero clock power fits")
 
     omega = rational_gcd(energies)
-    # E_m / omega = (p/q) / (g/L) = p * (L/q) / g, with L a multiple of every q
-    g, lcm = omega.numerator, omega.denominator
-    scaled = [e.numerator * (lcm // e.denominator) for e in energies]
+    # over one denominator D, E_m = a_m/D and omega = g/D, so E_m/omega = a_m/g
+    scaled, g, _ = _over_common_denominator(energies, omega)
     assert all(s % g == 0 for s in scaled)
     ratios = [s // g for s in scaled]
     residues = tuple(r % n for r in ratios)
@@ -192,11 +257,9 @@ def check_hypothesis(spec: Spectrum, delta_t: float, tolerance: float = 1e-10) -
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     n = spec.dim
-    phases = np.exp(-1j * spec.as_floats() * float(delta_t))
+    phases = spec.phases(delta_t)
     m = np.arange(n)
-    matches = []
-    for k in range(n):
-        reference = np.exp(-2j * np.pi * ((k * m) % n) / n)
-        if np.max(np.abs(phases - reference)) < tolerance:
-            matches.append(k)
+    matches = [
+        k for k in range(n) if np.max(np.abs(phases - np.exp(-2j * np.pi * ((k * m) % n) / n))) < tolerance
+    ]
     return matches[0] if len(matches) == 1 else None

@@ -23,8 +23,8 @@ import numpy as np
 from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency, NotScalarMultiple
 from .numerics import EigenSystem, exp_from_eig
 from .phase_space import OperatorBasis, map_operator
-from .schwinger import SchwingerPair, build_pair, shift_power
-from .spectrum import Spectrum, SpectrumDecomposition
+from .schwinger import SchwingerPair
+from .spectrum import Spectrum, SpectrumDecomposition, reduce_mod_period
 
 _SCALAR_TOL = 1e-10
 
@@ -82,22 +82,23 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
     Returns max over m in 0..N-1-s of
         || exp(-i*T*(E_{m+s} - E_m)) - shift^(-k*s) ||_max.
     Energy indices are a plain list (no wrap-around), since wrapping would
-    change the difference by something other than a full phase turn.  For a
-    spectrum matching the decomposition T was built from this is roundoff;
-    for anything else it is O(1) -- the function measures, it does not gate.
+    change the difference by something other than a full phase turn.  The
+    energies are reduced mod N*omega first, which changes no exponential of
+    T.  For a spectrum matching the decomposition T was built from this is
+    roundoff; for anything else it is O(1) -- the function measures, it does
+    not gate.
     """
     n = top.dim
     if spec.dim != n:
         raise DimensionMismatch(f"spectrum dim {spec.dim} != operator dim {n}")
     if not 0 <= s < n:
         raise ValueError(f"gap s={s} outside 0..{n - 1}")
-    pair = build_pair(n)
-    reference = shift_power(pair, -top.decomp.k * s)
-    energies = spec.energies
+    # shift^(-k*s) is the permutation e_j -> e_{j + k*s (mod N)}
+    reference = np.roll(np.eye(n, dtype=np.complex128), top.decomp.k * s % n, axis=0)
+    reduced = reduce_mod_period(spec.energies, top.decomp.omega, n)
     worst = 0.0
     for m in range(n - s):
-        gap = float(energies[m + s] - energies[m])
-        w = exp_from_eig(top.eigensystem, gap)
+        w = exp_from_eig(top.eigensystem, reduced[m + s] - reduced[m])
         worst = max(worst, float(np.max(np.abs(w - reference))))
     return worst
 
@@ -118,9 +119,9 @@ def verify_weyl_pair(
     if not 0 <= j < top.dim:
         raise IndexOutOfRange(f"ladder index {j} outside 0..{top.dim - 1}")
 
-    energies = np.array([float(e) for e in decomp.energies()])
-    propagator = np.diag(np.exp(-1j * energies * (n * top.delta_tau)))  # H is diagonal
-    wexp = exp_from_eig(top.eigensystem, energies[j] - energies[0])
+    propagator = np.diag(decomp.tick_phases(n))
+    reduced = decomp.tick_energies  # T's eigenvalues are multiples of the tick
+    wexp = exp_from_eig(top.eigensystem, reduced[j] - reduced[0])
     lhs = propagator @ wexp
     rhs = wexp @ propagator
     idx = int(np.argmax(np.abs(rhs)))

@@ -70,6 +70,10 @@ def _lower(name: str, residual: float, threshold: float) -> CheckResult:
     return CheckResult(name, residual, threshold, "lower", residual >= threshold)
 
 
+def _max_abs(a) -> float:
+    return float(np.max(np.abs(a)))
+
+
 def random_hermitian(rng, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a + a.conj().T
@@ -100,23 +104,14 @@ def skewed_spectrum(dim: int) -> Spectrum:
     return Spectrum(dim=dim, energies=tuple(2 * m + dim * ((m % 3) - 1) for m in range(dim)))
 
 
-def _diag_hamiltonian(spec: Spectrum) -> np.ndarray:
-    return np.diag(spec.as_floats().astype(np.complex128))
-
-
-def _phases(spec: Spectrum, t: float) -> np.ndarray:
-    """exp(-i*E_m*t): the diagonal of exp(-i*H*t) for H = diag(E)."""
-    return np.exp(-1j * spec.as_floats() * float(t))
-
-
 def _propagator(spec: Spectrum, t: float) -> np.ndarray:
     """exp(-i*H*t) of the diagonal Hamiltonian H = diag(E), no eigensolve."""
-    return np.diag(_phases(spec, t))
+    return np.diag(spec.phases(t))
 
 
 def _offsite_after(pair, spec: Spectrum, t: float) -> float:
     """Max population outside the dominant Fourier-sector site after evolving |s_0>."""
-    state = _phases(spec, t) * shift_eigenvector(pair, 0)
+    state = spec.phases(t) * shift_eigenvector(pair, 0)
     populations = np.abs(pair.fourier @ state) ** 2
     occupied = int(np.argmax(populations))
     populations[occupied] = -np.inf
@@ -150,13 +145,12 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     a = random_hermitian(rng, n)
     es = hermitian_eig(a)
     recon = (es.vectors * es.values) @ es.vectors.conj().T
-    checks.append(_upper("eig-reconstruction", np.max(np.abs(recon - a)), 1e-10))
-    checks.append(
-        _upper("eig-orthonormality", np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(n))), 1e-12)
-    )
+    checks.append(_upper("eig-reconstruction", _max_abs(recon - a), 1e-10))
+    orthonormality = _max_abs(es.vectors.conj().T @ es.vectors - np.eye(n))
+    checks.append(_upper("eig-orthonormality", orthonormality, 1e-12))
     s_t, t_t = 0.37, -1.91
     prod = exp_hermitian(a, s_t) @ exp_hermitian(a, t_t)
-    checks.append(_upper("exp-additivity", np.max(np.abs(prod - exp_hermitian(a, s_t + t_t))), 1e-10))
+    checks.append(_upper("exp-additivity", _max_abs(prod - exp_hermitian(a, s_t + t_t)), 1e-10))
     b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     c = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     checks.append(_upper("trace-cyclicity", abs(np.trace(b @ c) - np.trace(c @ b)), 1e-12))
@@ -178,51 +172,37 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
             worst = max(worst, abs(commutation_phase(pair, j, l) - target))
     checks.append(_upper("schwinger-commutation-table", worst, 1e-12))
     worst = max(
-        float(np.max(np.abs(clock_power(pair, n - k) - np.linalg.inv(clock_power(pair, k)))))
+        _max_abs(clock_power(pair, n - k) - np.linalg.inv(clock_power(pair, k)))
         for k in range(1, n)
     )
     checks.append(_upper("schwinger-cyclic-inverse", worst, 1e-12))
     eye = np.eye(n)
     worst = max(
-        float(np.max(np.abs(shift_power(pair, s) @ eye[:, m] - eye[:, (m - s) % n])))
+        _max_abs(shift_power(pair, s) @ eye[:, m] - eye[:, (m - s) % n])
         for s in range(n)
         for m in range(n)
     )
     checks.append(_upper("schwinger-shift-action", worst, 0.0))
-    checks.append(
-        _upper("schwinger-fourier-unitary", np.max(np.abs(pair.fourier @ pair.fourier.conj().T - eye)), 1e-12)
-    )
+    unitarity = _max_abs(pair.fourier @ pair.fourier.conj().T - eye)
+    checks.append(_upper("schwinger-fourier-unitary", unitarity, 1e-12))
+    shift_vecs = [shift_eigenvector(pair, k) for k in range(n)]
     worst = max(
-        float(
-            np.max(
-                np.abs(
-                    pair.shift @ shift_eigenvector(pair, k)
-                    - np.exp(2j * np.pi * k / n) * shift_eigenvector(pair, k)
-                )
-            )
-        )
-        for k in range(n)
+        _max_abs(pair.shift @ v - np.exp(2j * np.pi * k / n) * v) for k, v in enumerate(shift_vecs)
     )
     checks.append(_upper("schwinger-fourier-eigen", worst, 1e-12))
-    checks.append(_upper("mub-overlap", np.max(np.abs(np.abs(pair.fourier) ** 2 - 1.0 / n)), 1e-12))
+    checks.append(_upper("mub-overlap", _max_abs(np.abs(pair.fourier) ** 2 - 1.0 / n), 1e-12))
 
     # operator basis
     g = basis.elements
     flat = g.reshape(n * n, n * n)
-    checks.append(
-        _upper("basis-orthogonality", np.max(np.abs(flat.conj() @ flat.T - n * np.eye(n * n))), 1e-10)
-    )
-    checks.append(
-        _upper("basis-hermiticity", np.max(np.abs(g - np.conj(np.transpose(g, (0, 1, 3, 2))))), 1e-10)
-    )
-    checks.append(
-        _upper("basis-trace", np.max(np.abs(np.einsum("mnrr->mn", g) - 1.0)), 1e-12)
-    )
-    checks.append(_upper("basis-sum-identity", np.max(np.abs(g.sum(axis=(0, 1)) - n * eye)), 1e-10))
+    checks.append(_upper("basis-orthogonality", _max_abs(flat.conj() @ flat.T - n * np.eye(n * n)), 1e-10))
+    checks.append(_upper("basis-hermiticity", _max_abs(g - np.conj(np.transpose(g, (0, 1, 3, 2)))), 1e-10))
+    checks.append(_upper("basis-trace", _max_abs(np.einsum("mnrr->mn", g) - 1.0), 1e-12))
+    checks.append(_upper("basis-sum-identity", _max_abs(g.sum(axis=(0, 1)) - n * eye), 1e-10))
     worst = 0.0
     for _ in range(50):
         op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        worst = max(worst, float(np.max(np.abs(unmap_grid(basis, map_operator(basis, op)) - op))))
+        worst = max(worst, _max_abs(unmap_grid(basis, map_operator(basis, op)) - op))
     checks.append(_upper("basis-roundtrip", worst, 1e-10))
     op_a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     op_b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -230,21 +210,20 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     lin = map_operator(basis, ca * op_a + cb * op_b) - (
         ca * map_operator(basis, op_a) + cb * map_operator(basis, op_b)
     )
-    checks.append(_upper("basis-linearity", np.max(np.abs(lin)), 1e-12))
+    checks.append(_upper("basis-linearity", _max_abs(lin), 1e-12))
     rho = random_density(rng, n)
     grid = wigner_of_density(basis, rho)
-    row_defect = np.max(np.abs(grid.sum(axis=1) - n * np.diag(rho)))
-    col_defect = np.max(
-        np.abs(grid.sum(axis=0) - n * np.einsum("kn,nm,km->k", pair.fourier, rho, pair.fourier.conj()))
-    )
+    row_defect = _max_abs(grid.sum(axis=1) - n * np.diag(rho))
+    fourier_pops = np.einsum("kn,nm,km->k", pair.fourier, rho, pair.fourier.conj())
+    col_defect = _max_abs(grid.sum(axis=0) - n * fourier_pops)
     checks.append(_upper("basis-marginals", max(row_defect, col_defect), 1e-10))
     # the fast maps against the contraction with the elements checked above
     worst = 0.0
     for op in (op_a, op_b, rho):
         by_elements = np.einsum("mnrs,rs->mn", g.conj(), op)
-        worst = max(worst, float(np.max(np.abs(map_operator(basis, op) - by_elements))))
+        worst = max(worst, _max_abs(map_operator(basis, op) - by_elements))
         by_elements = np.einsum("mn,mnrs->rs", op, g) / n
-        worst = max(worst, float(np.max(np.abs(unmap_grid(basis, op) - by_elements))))
+        worst = max(worst, _max_abs(unmap_grid(basis, op) - by_elements))
     checks.append(_upper("basis-transform", worst, 1e-10))
 
     # spectrum gate
@@ -261,7 +240,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         ratios = [int(e / result.omega) for e in spec.energies]
         if rational_gcd([r for r in ratios if r != 0]) != 1:
             gcd_failures += 1
-        gap = np.max(np.abs(_propagator(spec, result.delta_tau) - clock_power(pair, -result.k)))
+        gap = _max_abs(np.diag(result.tick_phases(1)) - clock_power(pair, -result.k))
         soundness = max(soundness, float(gap))
         floats = list(spec.as_floats())
         floats[int(rng.integers(0, n))] += np.sqrt(2.0) * 1e-3
@@ -277,31 +256,14 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         ("harmonic", harmonic, d_harm, top_harm),
         ("skewed", skewed, d_skew, top_skew),
     ):
-        checks.append(
-            _upper(f"tio-hermiticity-{label}", np.max(np.abs(top.matrix - top.matrix.conj().T)), 1e-12)
-        )
-        worst = max(
-            float(
-                np.max(
-                    np.abs(
-                        top.matrix @ shift_eigenvector(pair, l)
-                        - top.delta_tau * l * shift_eigenvector(pair, l)
-                    )
-                )
-            )
-            for l in range(n)
-        )
+        checks.append(_upper(f"tio-hermiticity-{label}", _max_abs(top.matrix - top.matrix.conj().T), 1e-12))
+        worst = max(_max_abs(top.matrix @ v - top.delta_tau * l * v) for l, v in enumerate(shift_vecs))
         checks.append(_upper(f"tio-eigen-action-{label}", worst, 1e-10))
-        checks.append(
-            _upper(
-                f"tio-trace-{label}",
-                abs(np.trace(top.matrix).real - top.delta_tau * n * (n - 1) / 2.0),
-                1e-10,
-            )
-        )
+        trace_defect = abs(np.trace(top.matrix).real - top.delta_tau * n * (n - 1) / 2.0)
+        checks.append(_upper(f"tio-trace-{label}", trace_defect, 1e-10))
         tgrid = time_operator_grid(basis, top)
         expected = np.broadcast_to(top.delta_tau * np.arange(n), (n, n))
-        checks.append(_upper(f"tio-grid-{label}", np.max(np.abs(tgrid - expected)), 1e-10))
+        checks.append(_upper(f"tio-grid-{label}", _max_abs(tgrid - expected), 1e-10))
         worst = max(verify_energy_shift(top, spec, s) for s in range(n))
         checks.append(_upper(f"tio-energy-shift-{label}", worst, 1e-10))
 
@@ -310,9 +272,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
             table = [(a, b) for a in range(n) for b in range(n)]
         else:
             table = [(a, b) for a in range(3) for b in range(3)]
-            table += [
-                (int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(6)
-            ]
+            table += [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(6)]
         worst = 0.0
         for a, b in table:
             phase = verify_weyl_pair(top, dec, a, b)
@@ -321,8 +281,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         checks.append(_upper(f"tio-weyl-phase-{label}", worst, 1e-10))
 
     # the exchange phase only sees the ladder gap, not which rung it starts on
-    energies = [float(e) for e in d_skew.energies()]
-    prop = _propagator(skewed, top_skew.delta_tau)
+    energies = skewed.as_floats()
+    prop = np.diag(d_skew.tick_phases(1))
     worst = 0.0
     for j in (1, 2):
         reference = verify_weyl_pair(top_skew, d_skew, 1, j)
@@ -337,11 +297,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     # dynamics
     for label, spec, dec in (("harmonic", harmonic, d_harm), ("skewed", skewed, d_skew)):
         worst = max(
-            float(
-                np.max(
-                    np.abs(_propagator(spec, t * dec.delta_tau) - clock_power(pair, -(t * dec.k) % n))
-                )
-            )
+            _max_abs(np.diag(dec.tick_phases(t)) - clock_power(pair, -(t * dec.k) % n))
             for t in range(1, 2 * n + 1)
         )
         checks.append(_upper(f"dynamics-hypothesis-{label}", worst, 1e-10))
@@ -350,63 +306,40 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         occupied = [rec.occupied_index for rec in trace.steps]
         missing = len(set(range(n)) - set(occupied[:n]))
         checks.append(_upper(f"clock-coverage-{label}", missing, 0.0))
-        worst = max(
-            max(1.0 - rec.occupied_probability, rec.max_offsite) for rec in trace.steps
-        )
+        worst = max(max(1.0 - rec.occupied_probability, rec.max_offsite) for rec in trace.steps)
         checks.append(_upper(f"clock-occupancy-{label}", worst, 1e-9))
         state = shift_eigenvector(pair, 0)
         rho0 = np.outer(state, state.conj())
-        h = _diag_hamiltonian(spec)
+        h = np.diag(spec.as_floats().astype(np.complex128))
         rho_n = rho0
         for _ in range(n):
             rho_n = evolve_density(rho_n, h, dec.delta_tau)
-        checks.append(_upper(f"clock-periodicity-{label}", np.max(np.abs(rho_n - rho0)), 1e-10))
+        checks.append(_upper(f"clock-periodicity-{label}", _max_abs(rho_n - rho0), 1e-10))
 
-        mixed = random_density(rng, n)
-        checks.append(
-            _upper(
-                f"dynamics-shift-vs-evolution-{label}",
-                shift_vs_evolution_residual(pair, basis, dec, spec, mixed, n),
-                1e-9,
-            )
-        )
+        residual = shift_vs_evolution_residual(pair, basis, dec, spec, random_density(rng, n), n)
+        checks.append(_upper(f"dynamics-shift-vs-evolution-{label}", residual, 1e-9))
 
     grid0 = wigner_of_density(basis, random_density(rng, n))
     rolled = grid0
     for _ in range(n):
         rolled = stroboscopic_step(rolled, d_skew.k, -1)
-    checks.append(_upper("dynamics-shift-cyclic", np.max(np.abs(rolled - grid0)), 0.0))
+    checks.append(_upper("dynamics-shift-cyclic", _max_abs(rolled - grid0), 0.0))
     column = np.zeros((n, n))
     column[:, 2 % n] = 1.0
     sign = signs["shift_direction_sign"]
     target = np.zeros((n, n))
     target[:, (2 + sign * d_skew.k) % n] = 1.0
-    checks.append(
-        _upper(
-            "dynamics-shift-delta",
-            np.max(np.abs(stroboscopic_step(column, d_skew.k, sign) - target)),
-            0.0,
-        )
-    )
+    delta_defect = _max_abs(stroboscopic_step(column, d_skew.k, sign) - target)
+    checks.append(_upper("dynamics-shift-delta", delta_defect, 0.0))
 
     # negative controls: between ticks and for an incommensurate ladder the
     # state is never confined to one site
-    checks.append(
-        _lower(
-            "control-half-tick-offsite",
-            _offsite_after(pair, harmonic, d_harm.delta_tau / 2.0),
-            0.01,
-        )
-    )
+    half_tick = _offsite_after(pair, harmonic, d_harm.delta_tau / 2.0)
+    checks.append(_lower("control-half-tick-offsite", half_tick, 0.01))
     squares = Spectrum(dim=n, energies=tuple(m * m for m in range(n)))
     scan = [2.0 * np.pi * j / 40.0 for j in range(1, 40)]
-    checks.append(
-        _lower(
-            "control-incompatible-scan",
-            min(_offsite_after(pair, squares, t) for t in scan),
-            0.01,
-        )
-    )
+    scanned = min(_offsite_after(pair, squares, t) for t in scan)
+    checks.append(_lower("control-incompatible-scan", scanned, 0.01))
 
     checks.sort(key=lambda chk: chk.name)
     return SuiteReport(

@@ -119,8 +119,15 @@ def test_missing_file_is_malformed_input():
         (b'{"n": 1' + b"0" * 400 + b', "energies": [0, 1, 2]}', 2, "'energies'"),
         (b'{"n": 3, "energies": [0, 1, 1' + b"0" * 400 + b"]}", 3, ""),
         (b'{"n": 3, "energies": ["-0/5", 1, 2]}', 0, ""),
+        (b'{"n": 3, "energies": [0, 1, 1' + b"0" * 5000 + b"]}", 2, "energies[2]"),
+        (b'{"n": 3, "energies": [0, 1, "1' + b"0" * 5000 + b'/3"]}', 2, "energies[2]"),
+        (b'{"n": 3, "energies": [0, 1, "1/1' + b"0" * 5000 + b'"]}', 2, "energies[2]"),
+        (b'{"n": 1' + b"0" * 5000 + b', "energies": [0, 1, 2]}', 2, "'n'"),
     ],
-    ids=["non-utf8", "deep-nesting", "bom", "huge-n", "huge-energy", "negative-zero"],
+    ids=[
+        "non-utf8", "deep-nesting", "bom", "huge-n", "huge-energy", "negative-zero",
+        "long-energy", "long-numerator", "long-denominator", "long-n",
+    ],
 )
 def test_hostile_files_end_in_a_named_exit_code(tmp_path, raw, code, needle):
     path = tmp_path / "hostile.json"
@@ -349,6 +356,107 @@ def test_analyze_large_tick_measures_signs(tmp_path):
     proc = run_cli("analyze", "--spectrum", str(path), "--format", "text")
     assert proc.returncode == 0, proc.stderr
     assert "signs: commutation=-1 shift_direction=-1 weyl_pair=-1" in proc.stdout.splitlines()
+
+
+def clock_ladder(n, scale, period):
+    """E_m = m + n*scale*(m mod period): compatible with k = 1 however large scale is."""
+    return {"n": n, "energies": [m + n * scale * (m % period) for m in range(n)]}
+
+
+LARGE_LADDERS = {
+    "n7-1e12": clock_ladder(7, 10**12, 3),
+    "n7-1e14": clock_ladder(7, 10**14, 3),
+    "n7-1e16": clock_ladder(7, 10**16, 3),
+    "n7-1e400": clock_ladder(7, 10**400, 3),
+    "n5-1e400": clock_ladder(5, 10**400, 2),
+}
+
+
+@pytest.mark.parametrize("payload", LARGE_LADDERS.values(), ids=LARGE_LADDERS.keys())
+def test_large_energies_tick_exactly(tmp_path, payload):
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli("analyze", "--spectrum", str(path), "--format", "text")
+    assert proc.returncode == 0, proc.stderr
+    assert "signs: commutation=-1 shift_direction=-1 weyl_pair=-1" in proc.stdout.splitlines()
+
+    proc = run_cli("clock", "--spectrum", str(path), "--steps", "14")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["direction_sign"] == -1
+    n = payload["n"]
+    for rec in report["steps_records"]:
+        assert rec["occupied_index"] == -rec["j"] % n
+        assert max(1.0 - rec["occupied_probability"], rec["max_offsite"]) <= 1e-9
+
+    proc = run_cli("wigner", "--spectrum", str(path), "--state", "v:0", "--step", "1")
+    assert proc.returncode == 0, proc.stderr
+
+
+TINY_OMEGA = {"n": 3, "energies": [0, "1/1" + "0" * 400, "2/1" + "0" * 400]}
+HUGE_OMEGA = {"n": 3, "energies": [0, 10**400, 2 * 10**400]}
+
+
+@pytest.mark.parametrize(
+    "payload,argv,code,needle",
+    [
+        (TINY_OMEGA, ("analyze",), 3, "tick"),
+        (TINY_OMEGA, ("clock",), 3, "tick"),
+        (TINY_OMEGA, ("wigner", "--state", "v:0", "--step", "1"), 3, "tick"),
+        (HUGE_OMEGA, ("analyze",), 3, "tick"),
+        (LARGE_LADDERS["n5-1e400"], ("wigner", "--state", "v:0", "--time", "1"), 2, "energy 1"),
+        ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--time", "1e308"), 2, "--time"),
+    ],
+    ids=["tiny-omega-analyze", "tiny-omega-clock", "tiny-omega-wigner", "huge-omega-analyze",
+         "wigner-time-huge-energy", "wigner-time-overflow"],
+)
+def test_unrepresentable_tick_or_energy_has_a_named_exit(tmp_path, payload, argv, code, needle):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli(argv[0], "--spectrum", str(path), *argv[1:])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+
+
+def test_tick_paths_never_float_an_unreduced_energy(monkeypatch, tmp_path, capsys):
+    from qclock import (
+        build_basis,
+        build_pair,
+        build_time_operator,
+        clock_run,
+        decompose_spectrum,
+        shift_vs_evolution_residual,
+        verify_energy_shift,
+        verify_weyl_pair,
+    )
+    from qclock import Spectrum, cli
+
+    payload = LARGE_LADDERS["n7-1e400"]
+    n = payload["n"]
+    spec = Spectrum(n, tuple(payload["energies"]))
+    decomp = decompose_spectrum(spec)
+    pair = build_pair(n)
+    basis = build_basis(pair)
+    top = build_time_operator(pair, decomp)
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(payload))
+
+    def refuse(self):
+        raise AssertionError("an energy was converted to float before its reduction")
+
+    monkeypatch.setattr(Spectrum, "as_floats", refuse)
+    assert clock_run(pair, basis, decomp, spec, 0, 2 * n).direction_sign == -1
+    assert shift_vs_evolution_residual(pair, basis, decomp, spec, np.eye(n) / n, n) < 1e-9
+    assert abs(verify_weyl_pair(top, decomp, 1, 1) - np.exp(-2j * np.pi / n)) < 1e-10
+    assert max(verify_energy_shift(top, spec, s) for s in range(n)) < 1e-10
+    for argv in (
+        ("analyze",),
+        ("clock",),
+        ("wigner", "--state", "v:0", "--step", "1"),
+    ):
+        assert cli.main([argv[0], "--spectrum", str(path), *argv[1:]]) == 0
+    capsys.readouterr()
 
 
 # runs argv as its only child and reports that child's peak RSS

@@ -1,15 +1,23 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import (
     IncompatibleSpectrum,
     Spectrum,
+    build_time_operator,
     clock_power,
     clock_run,
     decompose_spectrum,
     evolve_density,
     exp_hermitian,
     measure_shift_sign,
+    measure_weyl_sign,
+    run_suite,
     shift_eigenvector,
     shift_vs_evolution_residual,
     stroboscopic_step,
@@ -230,3 +238,32 @@ def test_stroboscopic_step_gates():
         stroboscopic_step(grid, 5, -1)
     with pytest.raises(ValueError):
         stroboscopic_step(grid, 1, 2)
+
+
+@lru_cache(maxsize=None)
+def suite_signs(n):
+    return run_suite(n).signs
+
+
+@st.composite
+def large_clock_spectra(draw):
+    """E_m = omega*(k*m + N*f(m)) with |f| up to 10**400 and omega up to 10**60 either way."""
+    n = draw(st.sampled_from([3, 5, 7]))
+    k = draw(st.integers(1, n - 1))
+    bound = 10 ** draw(st.integers(0, 400))
+    f = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    omega = Fraction(draw(st.integers(1, 10**60)), draw(st.integers(1, 10**60)))
+    return Spectrum(n, tuple(omega * (k * m + n * f[m]) for m in range(n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(large_clock_spectra())
+def test_clock_stays_exact_at_any_energy_scale(spec):
+    n = spec.dim
+    pair, basis = cached_pair(n), cached_basis(n)
+    dec = decompose_spectrum(spec)
+    trace = clock_run(pair, basis, dec, spec, 0, 2 * n)
+    assert max(max(1.0 - rec.occupied_probability, rec.max_offsite) for rec in trace.steps) <= 1e-9
+    signs = suite_signs(n)
+    assert measure_shift_sign(pair, dec) == trace.direction_sign == signs["shift_direction_sign"]
+    assert measure_weyl_sign(build_time_operator(pair, dec), dec) == signs["weyl_pair_sign"]

@@ -124,6 +124,15 @@ def test_hermitian_eig_property(a):
     assert np.all(np.diff(es.values) >= -1e-10 * scale)
 
 
+def test_values_only_match_the_full_decomposition():
+    a = np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.5], [0.0, 0.5, -1.0]])
+    values_only = hermitian_eig(a, vectors=False)
+    assert values_only.vectors is None
+    assert np.max(np.abs(values_only.values - hermitian_eig(a).values)) < 1e-14
+    with pytest.raises(NotHermitian):
+        hermitian_eig(np.triu(np.ones((3, 3))), vectors=False)
+
+
 def test_not_hermitian_rejected():
     with pytest.raises(NotHermitian):
         hermitian_eig([[0, 1], [0, 0]])
@@ -207,30 +216,24 @@ def test_rationalize_roundtrip_seeded():
 
 
 def reference_rationalize(x, tolerance, max_denominator):
-    """The convergent walk with a Fraction built and subtracted per convergent."""
+    """The convergent walk in Fraction arithmetic: exact partial quotients, exact distances."""
     target = Fraction(x)
     tol = Fraction(tolerance)
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
-    xi = float(x)
-    for _ in range(64):
-        a0 = math.floor(xi)
+    rest = target
+    while True:
+        a0 = math.floor(rest)
         p_cur = a0 * p_prev + p_prev2
         q_cur = a0 * q_prev + q_prev2
         if q_cur > max_denominator:
-            break
+            return None
         candidate = Fraction(p_cur, q_cur)
         if abs(candidate - target) <= tol:
             return candidate
         p_prev, p_prev2 = p_cur, p_prev
         q_prev, q_prev2 = q_cur, q_prev
-        frac = xi - a0
-        if frac <= 0.0:
-            break
-        xi = 1.0 / frac
-        if not math.isfinite(xi):
-            break
-    return None
+        rest = 1 / (rest - a0)  # rest == a0 would have returned: candidate == target
 
 
 def rationalize_or_none(x, tolerance, max_denominator):
@@ -277,11 +280,31 @@ def test_rationalize_negative_values():
 
 
 def test_rationalize_int_beyond_float_precision_is_exact():
-    # float(2**53 + 1) == 2**53: the distance is measured on the int itself
+    # float(2**53 + 1) == 2**53, but the quotients come from the int itself
     x = 2**53 + 1
-    assert rationalize(x, 1.0, 10) == 2**53
+    assert rationalize(x, 1.0, 10) == x
+    assert rationalize(x, 5e-324, 1) == x
+
+
+def test_rationalize_tiny_negative_takes_the_exact_convergent():
+    # the float quotient of 1/(1 - 1.7e-8) lost digits and gave -1/58427951
+    assert rationalize(-1.711509623217893e-08, 2.9e-9, 10**12) == Fraction(-1, 58427950)
     with pytest.raises(NoRationalWithinTolerance):
-        rationalize(x, 0.5, 10)
+        rationalize(-3e-10, 1e-12, 3333333058)  # the convergent is -1/3333333333
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(
+    st.floats(min_value=-8.0, max_value=4.0).map(lambda e: 10.0**e),
+    st.sampled_from([1, -1]),
+    st.floats(min_value=-15.0, max_value=-3.0).map(lambda e: 10.0**e),
+    st.integers(min_value=3, max_value=12).map(lambda e: 10**e),
+)
+def test_rationalize_is_the_first_exact_convergent(magnitude, sign, tolerance, max_denominator):
+    x = sign * magnitude
+    assert rationalize_or_none(x, tolerance, max_denominator) == reference_rationalize(
+        x, tolerance, max_denominator
+    )
 
 
 def test_rationalize_smallest_subnormal_tolerance():

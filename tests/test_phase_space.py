@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import qclock.phase_space
 from qclock import (
     DimensionMismatch,
+    NoConvergence,
     NotADensityMatrix,
     Spectrum,
     build_basis,
@@ -177,6 +178,21 @@ def test_density_checks_name_the_failure(basis5):
 def test_check_density_accepts_pure_state():
     vec = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
     check_density(np.outer(vec, vec.conj()))
+
+
+def test_check_density_eigenvalue_floor():
+    check_density(np.diag([1.0 + 5e-11, -5e-11, 0.0]))
+    with pytest.raises(NotADensityMatrix, match="negative eigenvalue"):
+        check_density(np.diag([1.0 + 2e-10, -2e-10, 0.0]))
+
+
+def test_check_density_lapack_failure_is_no_convergence(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        check_density(np.eye(3) / 3)
 
 
 def map_by_elements(basis, op):
