@@ -456,19 +456,20 @@ def cmd_wigner(args) -> int:
     if (args.time is None) == (args.step is None):
         raise SpectrumFileError("exactly one of --time or --step is required")
 
-    if args.step is not None:
-        _, decomp = _compatible(data)
-        t = args.step * decomp.delta_tau
-        phases = decomp.tick_phases(args.step)
-    else:
-        t = args.time
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    flag = "--time" if args.step is None else "--step"
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.step is not None:
+                _, decomp = _compatible(data)
+                t = args.step * decomp.delta_tau
+                phases = decomp.tick_phases(args.step)
+            else:
+                t = args.time
                 phases = Spectrum(dim=n, energies=tuple(data["energies"])).phases(t)
-        except OverflowError as exc:
-            raise SpectrumFileError(str(exc)) from exc
-        if not np.all(np.isfinite(phases)):
-            raise SpectrumFileError(f"--time {t!r} times an energy exceeds the float64 range")
+    except OverflowError as exc:  # an energy, or the --step ticks, beyond float64
+        raise SpectrumFileError(f"{flag}: {exc}") from exc
+    if not np.all(np.isfinite(phases)):
+        raise SpectrumFileError(f"{flag}: time {t!r} times an energy exceeds the float64 range")
 
     pair = build_pair(n)
     basis = build_basis(pair)

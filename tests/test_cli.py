@@ -405,10 +405,13 @@ HUGE_OMEGA = {"n": 3, "energies": [0, 10**400, 2 * 10**400]}
         (TINY_OMEGA, ("wigner", "--state", "v:0", "--step", "1"), 3, "tick"),
         (HUGE_OMEGA, ("analyze",), 3, "tick"),
         (LARGE_LADDERS["n5-1e400"], ("wigner", "--state", "v:0", "--time", "1"), 2, "energy 1"),
-        ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--time", "1e308"), 2, "--time"),
+        ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--time", "1e308"), 2, "1e+308"),
+        ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--step", "1" + "0" * 400), 2, "--step"),
+        ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--step", "1" + "0" * 308), 2, "float64"),
     ],
     ids=["tiny-omega-analyze", "tiny-omega-clock", "tiny-omega-wigner", "huge-omega-analyze",
-         "wigner-time-huge-energy", "wigner-time-overflow"],
+         "wigner-time-huge-energy", "wigner-time-overflow", "wigner-step-overflow",
+         "wigner-step-phase-overflow"],
 )
 def test_unrepresentable_tick_or_energy_has_a_named_exit(tmp_path, payload, argv, code, needle):
     path = tmp_path / "spectrum.json"
