@@ -60,6 +60,7 @@ from .spectrum import (
     check_hypothesis,
     decompose_spectrum,
     power_at_step,
+    rationalize_energies,
 )
 from .time_interval import (
     TimeIntervalOperator,

@@ -26,18 +26,18 @@ from .errors import (
     DegenerateSpectrum,
     DimensionNotOddPrime,
     IncompatibleSpectrum,
-    NoRationalWithinTolerance,
     QClockError,
 )
-from .numerics import is_odd_prime, rationalize
+from .numerics import is_odd_prime
 from .phase_space import build_basis, wigner_of_density
 from .schwinger import build_pair, measure_commutation_sign, shift_eigenvector
 from .spectrum import (
     IncompatibilityCertificate,
-    NOT_COMMENSURABLE,
     Spectrum,
     SpectrumDecomposition,
+    analyze_float_spectrum,
     decompose_spectrum,
+    rationalize_energies,
 )
 from .time_interval import build_time_operator, measure_weyl_sign
 from .verification import run_suite
@@ -187,35 +187,6 @@ def load_spectrum_file(path: str) -> dict:
     return {"n": n, "energies": energies, "label": label}
 
 
-def _entries_to_fractions(entries, tolerance: float, max_denominator: int):
-    """Exact entries stay exact; floats go through rationalize.
-
-    Returns (fractions, residuals) or raises _NotCommensurableEntry with the
-    failing index.
-    """
-    fractions = []
-    residuals = []
-    for i, entry in enumerate(entries):
-        if isinstance(entry, (str, int)):  # "p/q" strings and ints are exact
-            fractions.append(Fraction(entry))
-            residuals.append(0.0)
-        else:
-            try:
-                frac = rationalize(entry, tolerance, max_denominator)
-            except NoRationalWithinTolerance as exc:
-                raise _NotCommensurableEntry(i, entry) from exc
-            fractions.append(frac)
-            residuals.append(abs(entry - float(frac)))
-    return fractions, residuals
-
-
-class _NotCommensurableEntry(QClockError):
-    def __init__(self, index: int, value: float):
-        super().__init__(f"energy {index} ({value!r}) is not commensurable")
-        self.index = index
-        self.value = value
-
-
 def _load_odd_prime_spectrum(path: str) -> dict:
     """load_spectrum_file, then exit 4 unless n is an odd prime."""
     data = load_spectrum_file(path)
@@ -228,18 +199,6 @@ def _load_odd_prime_spectrum(path: str) -> dict:
 # analyze
 
 
-def _certificate_dict(cert) -> dict:
-    if isinstance(cert, IncompatibilityCertificate):
-        out = {"reason": cert.reason}
-        if cert.residues is not None:
-            out["residues"] = list(cert.residues)
-        if cert.first_bad_index is not None:
-            out["first_bad_index"] = cert.first_bad_index
-        out["detail"] = cert.detail
-        return out
-    return dict(cert)
-
-
 def _decompose_fractions(n: int, fractions):
     """decompose_spectrum with the all-equal case folded into a certificate."""
     try:
@@ -248,8 +207,22 @@ def _decompose_fractions(n: int, fractions):
         return {"reason": "DegenerateSpectrum", "detail": str(exc)}
 
 
+def _require_printable(field: str, *values: int) -> None:
+    """Exit 2 when an output integer has more digits than str() converts."""
+    try:
+        for value in values:
+            str(value)
+    except ValueError:
+        raise SpectrumFileError(
+            f"output field {field!r} has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits, more than str() converts"
+        ) from None
+
+
 def _verdict_fields(outcome) -> dict:
     if isinstance(outcome, SpectrumDecomposition):
+        _require_printable("omega", outcome.omega.numerator, outcome.omega.denominator)
+        _require_printable("f", *outcome.f)
         return {
             "compatible": True,
             "omega": outcome.omega,
@@ -257,26 +230,25 @@ def _verdict_fields(outcome) -> dict:
             "delta_tau": outcome.delta_tau,
             "f": list(outcome.f),
         }
-    return {"compatible": False, "certificate": _certificate_dict(outcome)}
+    if isinstance(outcome, IncompatibilityCertificate):
+        fields = dataclasses.asdict(outcome).items()
+        outcome = {key: value for key, value in fields if value is not None}
+    return {"compatible": False, "certificate": outcome}
 
 
 def cmd_analyze(args) -> int:
     data = _load_odd_prime_spectrum(args.spectrum)
     n = data["n"]
 
-    try:
-        fractions, residuals = _entries_to_fractions(
-            data["energies"], args.tolerance, args.max_denominator
-        )
+    fractions = rationalize_energies(data["energies"], args.tolerance, args.max_denominator)
+    if isinstance(fractions, IncompatibilityCertificate):
+        outcome, fractions, residuals = fractions, None, None
+    else:
         outcome = _decompose_fractions(n, fractions)
-    except _NotCommensurableEntry as exc:
-        fractions = None
-        residuals = None
-        outcome = IncompatibilityCertificate(
-            reason=NOT_COMMENSURABLE,
-            first_bad_index=exc.index,
-            detail=str(exc),
-        )
+        residuals = [
+            abs(e - float(x)) if isinstance(e, float) else 0.0
+            for e, x in zip(data["energies"], fractions)
+        ]
 
     report = {
         "tool_version": __version__,
@@ -307,13 +279,10 @@ def cmd_analyze(args) -> int:
 
     if args.shift_ground:
         if fractions is None:
-            report["shifted"] = {
-                "compatible": False,
-                "certificate": _certificate_dict(outcome),
-            }
+            shifted = outcome
         else:
-            shifted = [e - fractions[0] for e in fractions]
-            report["shifted"] = _verdict_fields(_decompose_fractions(n, shifted))
+            shifted = _decompose_fractions(n, [e - fractions[0] for e in fractions])
+        report["shifted"] = _verdict_fields(shifted)
 
     if args.format == "json":
         _emit(_dump_json(report))
@@ -375,15 +344,10 @@ def _compatible(data: dict):
 
     Raises IncompatibleSpectrum, or DegenerateSpectrum, which exits the same way.
     """
-    try:
-        fractions, _ = _entries_to_fractions(data["energies"], 1e-9, 10**6)
-    except _NotCommensurableEntry as exc:
-        raise IncompatibleSpectrum(str(exc)) from exc
-    spec = Spectrum(dim=data["n"], energies=tuple(fractions))
-    outcome = decompose_spectrum(spec)
+    outcome = analyze_float_spectrum(data["energies"], data["n"], 1e-9, 10**6)
     if not isinstance(outcome, SpectrumDecomposition):
         raise IncompatibleSpectrum(outcome.detail)
-    return spec, outcome
+    return Spectrum(dim=outcome.dim, energies=outcome.energies()), outcome
 
 
 def cmd_clock(args) -> int:

@@ -131,8 +131,13 @@ class SpectrumDecomposition:
 
     @cached_property
     def tick_energies(self) -> np.ndarray:
-        """The energies mod N*omega (reduce_mod_period), computed on first use."""
-        reduced = reduce_mod_period(self.energies(), self.omega, self.dim)
+        """E_m mod N*omega = omega*((k*m) mod N) in float64, computed on first use.
+
+        Equal bit for bit to reduce_mod_period(self.energies(), ...): int true
+        division rounds the exact ratio correctly, as float(Fraction) does.
+        """
+        p, q = self.omega.numerator, self.omega.denominator
+        reduced = np.array([p * (self.k * m % self.dim) / q for m in range(self.dim)])
         reduced.setflags(write=False)
         return reduced
 
@@ -219,16 +224,21 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
     return SpectrumDecomposition(dim=n, omega=omega, k=k, f=f)
 
 
-def analyze_float_spectrum(
-    energies, dim: int, tolerance: float, max_denominator: int
-) -> DecompositionResult:
-    """Float front-end: rationalize each energy, then run the exact gate.
+def rationalize_energies(
+    energies, tolerance: float, max_denominator: int
+) -> Union[tuple, IncompatibilityCertificate]:
+    """The spectrum front end: exact entries stay exact, floats are rationalized.
 
-    An energy with no admissible rational approximation yields a
-    NOT_COMMENSURABLE certificate pointing at its index.
+    Ints, Fractions and "p/q" strings become Fractions unchanged; any other
+    entry goes through rationalize(float(x), ...).  Returns the tuple of
+    Fractions, or a NOT_COMMENSURABLE certificate at the first float with no
+    admissible rational approximation.
     """
     fracs = []
     for i, x in enumerate(energies):
+        if isinstance(x, (int, Fraction, str)):
+            fracs.append(Fraction(x))
+            continue
         try:
             fracs.append(rationalize(float(x), tolerance, max_denominator))
         except NoRationalWithinTolerance:
@@ -238,7 +248,17 @@ def analyze_float_spectrum(
                 detail=f"energy {i} ({float(x)!r}) has no rational approximation "
                 f"within {tolerance} at denominators <= {max_denominator}",
             )
-    return decompose_spectrum(Spectrum(dim=dim, energies=tuple(fracs)))
+    return tuple(fracs)
+
+
+def analyze_float_spectrum(
+    energies, dim: int, tolerance: float, max_denominator: int
+) -> DecompositionResult:
+    """rationalize_energies, then the exact gate (decompose_spectrum)."""
+    fracs = rationalize_energies(energies, tolerance, max_denominator)
+    if isinstance(fracs, IncompatibilityCertificate):
+        return fracs
+    return decompose_spectrum(Spectrum(dim=dim, energies=fracs))
 
 
 def power_at_step(decomp: SpectrumDecomposition, n: int) -> int:

@@ -21,6 +21,19 @@ def run_cli(*args):
     )
 
 
+def write_spectrum(tmp_path, payload):
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+ROOT_TWO = {"n": 3, "energies": [0.0, 1.0, 1.4142135623730951]}
+# the nearest p/q with q <= 10**6 is 2/1, 1e-8 away: NotCommensurable at the defaults
+OFF_LATTICE = {"n": 3, "energies": [0.0, 1.0, 2.00000001]}
+DEGENERATE = {"n": 3, "energies": [1, 1, 1]}
+FLOAT_ENTRIES = {"n": 5, "energies": [0.0, 0.2, 0.4, 0.6, 0.8]}
+
+
 def test_analyze_harmonic():
     proc = run_cli("analyze", "--spectrum", HARMONIC)
     assert proc.returncode == 0
@@ -77,6 +90,47 @@ def test_analyze_shift_ground(tmp_path):
     assert report["compatible"] is False
     assert report["shifted"]["compatible"] is True
     assert report["shifted"]["k"] == 1
+
+
+def test_analyze_not_commensurable(tmp_path):
+    path = write_spectrum(tmp_path, ROOT_TWO)
+    proc = run_cli(
+        "analyze", "--spectrum", path, "--tolerance", "1e-12", "--max-denominator", "1000",
+        "--shift-ground",
+    )
+    assert proc.returncode == 3
+    report = json.loads(proc.stdout)
+    assert report["compatible"] is False
+    cert = report["certificate"]
+    assert cert["reason"] == "NotCommensurable"
+    assert cert["first_bad_index"] == 2
+    assert "residues" not in cert
+    assert "within 1e-12 at denominators <= 1000" in cert["detail"]
+    assert report["rationalization_residuals"] is None
+    assert report["convention_notes"]["shift_direction_sign"] is None
+    assert report["shifted"] == {"compatible": False, "certificate": cert}
+
+
+def test_analyze_degenerate(tmp_path):
+    proc = run_cli("analyze", "--spectrum", write_spectrum(tmp_path, DEGENERATE), "--shift-ground")
+    assert proc.returncode == 3
+    report = json.loads(proc.stdout)
+    assert report["certificate"]["reason"] == "DegenerateSpectrum"
+    assert report["rationalization_residuals"] == [0.0, 0.0, 0.0]
+    assert report["shifted"]["certificate"]["reason"] == "DegenerateSpectrum"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_analyze_output_integer_beyond_str_limit_is_malformed(tmp_path, fmt):
+    # every input integer converts, but f = E_1/omega = 5*10**4598 does not
+    path = tmp_path / "long_f.json"
+    path.write_text('{"n": 3, "energies": [0, 1' + "0" * 4299 + ', "2/1' + "0" * 300 + '"]}')
+    proc = run_cli("analyze", "--spectrum", str(path), "--format", fmt)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "'f'" in proc.stderr
+    assert run_cli("clock", "--spectrum", str(path), "--steps", "1").returncode == 0
 
 
 def test_bad_dimension_exit_code(tmp_path):
@@ -309,9 +363,14 @@ def test_json_outputs_reparse():
         ("wigner", "--spectrum", HARMONIC, "--state", "v:1", "--step", "3"),
         ("wigner", "--spectrum", SQUARES, "--state", "mixed", "--time", "0.9"),
         ("verify", "--n", "5"),
+        ("analyze", "--spectrum", "FLOAT_ENTRIES", "--shift-ground"),
+        ("clock", "--spectrum", "FLOAT_ENTRIES", "--format", "csv"),
+        ("analyze", "--spectrum", "ROOT_TWO", "--tolerance", "1e-12", "--max-denominator", "1000"),
     ],
 )
-def test_byte_identical_across_runs(args):
+def test_byte_identical_across_runs(tmp_path, args):
+    payloads = {"FLOAT_ENTRIES": FLOAT_ENTRIES, "ROOT_TWO": ROOT_TWO}
+    args = [write_spectrum(tmp_path, payloads[a]) if a in payloads else a for a in args]
     first = run_cli(*args)
     second = run_cli(*args)
     assert first.stdout == second.stdout
@@ -408,10 +467,16 @@ HUGE_OMEGA = {"n": 3, "energies": [0, 10**400, 2 * 10**400]}
         ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--time", "1e308"), 2, "1e+308"),
         ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--step", "1" + "0" * 400), 2, "--step"),
         ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--step", "1" + "0" * 308), 2, "float64"),
+        (OFF_LATTICE, ("analyze",), 3, ""),
+        (OFF_LATTICE, ("clock",), 3, "energy 2 (2.00000001)"),
+        (OFF_LATTICE, ("wigner", "--state", "v:0", "--step", "1"), 3, "energy 2 (2.00000001)"),
+        (DEGENERATE, ("clock",), 3, "all energies equal"),
+        (DEGENERATE, ("wigner", "--state", "v:0", "--step", "1"), 3, "all energies equal"),
     ],
     ids=["tiny-omega-analyze", "tiny-omega-clock", "tiny-omega-wigner", "huge-omega-analyze",
          "wigner-time-huge-energy", "wigner-time-overflow", "wigner-step-overflow",
-         "wigner-step-phase-overflow"],
+         "wigner-step-phase-overflow", "not-commensurable-analyze", "not-commensurable-clock",
+         "not-commensurable-wigner", "degenerate-clock", "degenerate-wigner"],
 )
 def test_unrepresentable_tick_or_energy_has_a_named_exit(tmp_path, payload, argv, code, needle):
     path = tmp_path / "spectrum.json"

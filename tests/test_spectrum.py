@@ -21,6 +21,7 @@ from qclock import (
     power_at_step,
     rational_gcd,
 )
+from qclock.spectrum import reduce_mod_period
 from qclock.verification import random_compatible_spectrum
 from conftest import cached_pair
 
@@ -144,6 +145,21 @@ def test_analyze_float_irrational_member():
     assert isinstance(cert, IncompatibilityCertificate)
     assert cert.reason == NOT_COMMENSURABLE
     assert cert.first_bad_index == 2
+
+
+@pytest.mark.parametrize(
+    "energies",
+    [
+        [m + 5 * 10**400 * (m % 2) for m in range(5)],  # overflows float()
+        [f"{m + 5 * 10**20 * (m % 2)}/3" for m in range(5)],  # loses digits in float()
+        [0, Fraction(1, 3), "2/3", 1.0, 5 * 2**60 + 3],  # omega 1/3; only 1.0 is rationalized
+    ],
+    ids=["n5-1e400-ints", "p/q-strings", "mixed"],
+)
+def test_float_front_end_decides_exact_entries_exactly(energies):
+    want = decompose_spectrum(Spectrum(5, tuple(energies)))
+    assert isinstance(want, SpectrumDecomposition)
+    assert analyze_float_spectrum(energies, 5, 1e-9, 10**6) == want
 
 
 def test_power_at_step():
@@ -322,3 +338,21 @@ def test_certificate_index_is_first_failing_m(spec):
 @given(SPECTRA)
 def test_gate_matches_fraction_division_reference(spec):
     assert decompose_spectrum(spec) == reference_decompose(spec)
+
+
+@st.composite
+def large_decompositions(draw):
+    """(omega, k, f) at primes up to 211, |f| up to 10**400, omega up to 10**60 either way."""
+    n = draw(st.sampled_from([3, 5, 7, 11, 31, 101, 211]))
+    k = draw(st.integers(1, n - 1))
+    bound = 10 ** draw(st.integers(0, 400))
+    f = draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+    omega = Fraction(draw(st.integers(1, 10**60)), draw(st.integers(1, 10**60)))
+    return SpectrumDecomposition(dim=n, omega=omega, k=k, f=tuple(f))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(clock_spectra().map(decompose_spectrum), large_decompositions()))
+def test_tick_energies_are_the_energies_reduced_mod_the_period(dec):
+    want = reduce_mod_period(dec.energies(), dec.omega, dec.dim)
+    assert dec.tick_energies.tobytes() == want.tobytes()
