@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import sys
 from collections import namedtuple
@@ -119,9 +120,18 @@ def _dump_json(value, indent: int = 0) -> str:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    """Write text and a final newline to stdout; a reader that has gone is no error.
+
+    On a closed pipe stdout is pointed at os.devnull, so the unwritten rest
+    and the flush at exit go nowhere and the command keeps its exit code.
+    """
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +401,7 @@ def cmd_clock(args) -> int:
                 f"{rec.j},{_fmt12(rec.time)},{rec.occupied_index},"
                 f"{_fmt12(rec.occupied_probability)},{_fmt12(rec.max_offsite)}\n"
             )
-        sys.stdout.write(buffer.getvalue())
+        _emit(buffer.getvalue())
     return EXIT_OK
 
 
@@ -480,7 +490,7 @@ def cmd_wigner(args) -> int:
             else:
                 cells = [f"{_fmt12(x.real)}{'+' if x.imag >= 0 else '-'}{_fmt12(abs(x.imag))}j" for x in grid[m]]
             buffer.write(f"{m}," + ",".join(cells) + "\n")
-        sys.stdout.write(buffer.getvalue())
+        _emit(buffer.getvalue())
     if not real_ok:
         print(
             f"error: wigner grid has imaginary parts up to {imag_defect:.3e}",

@@ -63,9 +63,14 @@ class EigenSystem:
     vectors: np.ndarray | None
 
 
-def _first_sizable(col: np.ndarray) -> int:
-    idx = np.flatnonzero(np.abs(col) > _GAUGE_FLOOR)
-    return int(idx[0]) if idx.size else int(np.argmax(np.abs(col)))
+def _pivots(vecs: np.ndarray) -> np.ndarray:
+    """Each column's first sizable component, or its largest if none is sizable."""
+    if not vecs.size:  # argmax rejects the empty columns of a 0x0 matrix
+        return vecs.diagonal()
+    mags = np.abs(vecs)
+    sizable = mags > _GAUGE_FLOOR
+    rows = np.where(sizable.any(axis=0), sizable.argmax(axis=0), mags.argmax(axis=0))
+    return vecs[rows, np.arange(vecs.shape[1])]
 
 
 def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
@@ -85,7 +90,6 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"max |A - A^dag| = {defect:.3e} exceeds {HERMITICITY_TOL}")
 
-    n = arr.shape[0]
     work = 0.5 * (arr + arr.conj().T)  # exact Hermitian symmetrization
     scale = max(1.0, float(np.max(np.abs(work))) if work.size else 0.0)
     try:
@@ -97,24 +101,14 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK did not converge: {exc}") from exc
 
-    for j in range(n):
-        pivot = vecs[_first_sizable(vecs[:, j]), j]
-        vecs[:, j] = vecs[:, j] * (np.conj(pivot) / abs(pivot))
+    pivots = _pivots(vecs)
+    vecs *= np.conj(pivots) / np.hypot(pivots.real, pivots.imag)  # |pivot| as abs() rounds it
 
-    # deterministic order inside degenerate clusters
-    cluster_tol = _CLUSTER_TOL * scale
-    start = 0
-    for end in range(1, n + 1):
-        if end == n or values[end] - values[end - 1] > cluster_tol:
-            if end - start > 1:
-                keys = [vecs[_first_sizable(vecs[:, j]), j].real for j in range(start, end)]
-                perm = sorted(range(end - start), key=lambda i: keys[i])
-                block = vecs[:, start:end].copy()
-                vals = values[start:end].copy()
-                for i, src in enumerate(perm):
-                    vecs[:, start + i] = block[:, src]
-                    values[start + i] = vals[src]
-            start = end
+    # deterministic order inside degenerate clusters: a stable sort by
+    # cluster label, then by the gauge-fixed pivot's real part
+    cluster = np.cumsum(np.diff(values, prepend=values[:1]) > _CLUSTER_TOL * scale)
+    order = np.lexsort((_pivots(vecs).real, cluster))
+    values, vecs = values[order], vecs[:, order]
 
     values.setflags(write=False)
     vecs.setflags(write=False)
@@ -154,10 +148,8 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
         raise ValueError("x must be finite")
 
     # |p/q - a/b| <= c/d  <=>  |p*b - a*q| * d <= c * q * b, as all of q, b, d > 0
-    target = Fraction(x)
-    tol = Fraction(tolerance)
-    a, b = target.numerator, target.denominator
-    c, d = tol.numerator, tol.denominator
+    a, b = x.as_integer_ratio()
+    c, d = tolerance.as_integer_ratio()
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
     num, den = a, b  # Euclid on a/b: the partial quotients are exact
@@ -187,10 +179,11 @@ def rational_gcd(xs) -> Fraction:
     """
     num, den = 0, 1
     for x in xs:
-        f = Fraction(x)
-        if f:
-            num = math.gcd(num, f.numerator)
-            den = math.lcm(den, f.denominator)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        if x:
+            num = math.gcd(num, x.numerator)
+            den = math.lcm(den, x.denominator)
     if not num:
         raise AllZero("rational gcd needs at least one nonzero value")
     return Fraction(num, den)

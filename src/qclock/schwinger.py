@@ -53,18 +53,18 @@ def build_pair(dim: int) -> SchwingerPair:
 def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
     """clock**exponent, any integer exponent, reduced mod N.
 
-    Built directly from the reduced phase angles, so negative powers are as
-    accurate as positive ones.
+    Entry l is the pair's own clock phase at (exponent*l) mod N, read from its
+    table, so negative powers are as accurate as positive ones.
     """
     e = exponent % pair.dim
     labels = np.arange(pair.dim)
-    return np.diag(np.exp(2j * np.pi * ((e * labels) % pair.dim) / pair.dim))
+    return np.diag(pair.clock.diagonal()[(e * labels) % pair.dim])
 
 
 def shift_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
     """shift**exponent, any integer exponent, reduced mod N (exact 0/1 matrix)."""
     e = exponent % pair.dim
-    return np.roll(np.eye(pair.dim, dtype=np.complex128), -e, axis=0)
+    return np.eye(pair.dim, dtype=np.complex128)[(np.arange(pair.dim) + e) % pair.dim]
 
 
 def shift_eigenvector(pair: SchwingerPair, k: int) -> np.ndarray:

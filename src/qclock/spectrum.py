@@ -8,10 +8,12 @@ propagator equal to a power of the clock operator iff it can be written
 with hbar = 1 throughout (energies are dimensionless multiples of a
 reference frequency).  The decision procedure is exact rational arithmetic:
 
-1. omega is the rational gcd of the nonzero energies, so every ratio
-   r_m = E_m/omega is an integer.  Scaling omega down by an integer t
-   multiplies the residues r_m mod N by t, which preserves the linear form
-   above iff it already held, so only the maximal omega needs testing.
+1. Over one common denominator D the energies are integers a_m = E_m*D,
+   and omega = gcd(a_m)/D is their rational gcd, so every ratio
+   r_m = E_m/omega = a_m/gcd(a_m) is an integer.  Scaling omega down by an
+   integer t multiplies the residues r_m mod N by t, which preserves the
+   linear form above iff it already held, so only the maximal omega needs
+   testing.
 2. The residues must be r_m = k*m (mod N) for a single nonzero k.  N prime
    makes m = 1 invertible, so k is read off at m = 1 and validated at every
    other index; the first index where no k fits goes into the certificate.
@@ -39,7 +41,7 @@ from .errors import (
     IncompatibleSpectrum,
     NoRationalWithinTolerance,
 )
-from .numerics import is_odd_prime, rational_gcd, rationalize
+from .numerics import is_odd_prime, rationalize
 
 NOT_COMMENSURABLE = "NotCommensurable"
 RESIDUES_NOT_LINEAR = "ResiduesNotLinear"
@@ -152,7 +154,14 @@ class SpectrumDecomposition:
         return tuple(self.energy(m) for m in range(self.dim))
 
     def matches(self, spec: Spectrum) -> bool:
-        return self.dim == spec.dim and self.energies() == spec.energies
+        """Whether spec's energies are exactly omega*(k*m + N*f[m]), in integers."""
+        if self.dim != spec.dim:
+            return False
+        p, q = self.omega.numerator, self.omega.denominator
+        return all(
+            e.numerator * q == p * (self.k * m + self.dim * f_m) * e.denominator
+            for m, (e, f_m) in enumerate(zip(spec.energies, self.f))
+        )
 
 
 @dataclass(frozen=True)
@@ -191,14 +200,15 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
     """
     n = spec.dim
     energies = spec.energies
-    if all(e == energies[0] for e in energies):
+    # over one denominator D, E_m = a_m/D and omega = g/D, so E_m/omega = a_m/g
+    den = math.lcm(*(e.denominator for e in energies))
+    scaled = [e.numerator * (den // e.denominator) for e in energies]
+    if all(a == scaled[0] for a in scaled):
         raise DegenerateSpectrum("all energies equal; no nonzero clock power fits")
 
-    omega = rational_gcd(energies)
-    # over one denominator D, E_m = a_m/D and omega = g/D, so E_m/omega = a_m/g
-    scaled, g, _ = _over_common_denominator(energies, omega)
-    assert all(s % g == 0 for s in scaled)
-    ratios = [s // g for s in scaled]
+    g = math.gcd(*scaled)
+    omega = Fraction(g, den)
+    ratios = [a // g for a in scaled]
     residues = tuple(r % n for r in ratios)
 
     def certificate(first_bad):

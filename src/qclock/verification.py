@@ -71,7 +71,7 @@ def _lower(name: str, residual: float, threshold: float) -> CheckResult:
 
 
 def _max_abs(a) -> float:
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:

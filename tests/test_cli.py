@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -338,6 +339,33 @@ def test_verify_n3_reports_and_exit():
 def test_verify_rejects_composite_or_large():
     assert run_cli("verify", "--n", "9").returncode == 4
     assert run_cli("verify", "--n", "37").returncode == 4
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("analyze", "--spectrum", HARMONIC, "--format", "text"), 0),
+        (("analyze", "--spectrum", SQUARES), 3),
+        (("clock", "--spectrum", HARMONIC, "--format", "csv"), 0),
+        (("wigner", "--spectrum", HARMONIC, "--state", "v:1", "--step", "2"), 0),
+        (("verify", "--n", "3"), 1),
+    ],
+)
+def test_closed_stdout_pipe_keeps_the_exit_code(args, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclock", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=REPO_ROOT,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr == ""
 
 
 def test_verify_seed_changes_only_random_checks():

@@ -17,6 +17,7 @@ from qclock import (
     rationalize,
 )
 from qclock.schwinger import build_pair, clock_power
+from conftest import count_fraction_constructions
 
 
 def reconstruction_residual(a, es):
@@ -91,6 +92,50 @@ def test_degenerate_cluster_pivots_ascend(case):
     assert any(len(c) > 1 for c in clusters)
     for cluster in clusters:
         assert np.all(np.diff(keys[cluster]) >= 0.0)
+
+
+def loop_hermitian_eig(a):
+    """eigh, then the column-by-column gauge fix and cluster-by-cluster sort."""
+    work = 0.5 * (a + a.conj().T)
+    scale = max(1.0, float(np.max(np.abs(work))) if work.size else 0.0)
+    values, vecs = np.linalg.eigh(work)
+
+    def first_sizable(col):
+        idx = np.flatnonzero(np.abs(col) > 1e-8)
+        return int(idx[0]) if idx.size else int(np.argmax(np.abs(col)))
+
+    n = len(values)
+    for j in range(n):
+        pivot = vecs[first_sizable(vecs[:, j]), j]
+        vecs[:, j] = vecs[:, j] * (np.conj(pivot) / abs(pivot))
+    start = 0
+    for end in range(1, n + 1):
+        if end == n or values[end] - values[end - 1] > 1e-10 * scale:
+            keys = [vecs[first_sizable(vecs[:, j]), j].real for j in range(start, end)]
+            perm = [start + i for i in sorted(range(end - start), key=keys.__getitem__)]
+            vecs[:, start:end], values[start:end] = vecs[:, perm], values[perm]
+            start = end
+    return values, vecs
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 5, 9, 31])
+def test_gauge_and_cluster_order_equal_the_loops_bit_for_bit(dim):
+    rng = np.random.default_rng(30 + dim)
+    matrices = [np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)]
+    for _ in range(10):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(z)
+        levels = rng.integers(0, 3, size=dim).astype(float)
+        matrices += [z + z.conj().T, (q * levels) @ q.conj().T, np.diag(levels).astype(complex)]
+        if dim:
+            matrices.append(np.outer(q[:, 0], q[:, 0].conj()))
+    if dim == 9:
+        matrices += degenerate_matrices()
+    for a in matrices:
+        es = hermitian_eig(a)
+        values, vecs = loop_hermitian_eig(a)
+        assert es.values.tobytes() == values.tobytes()
+        assert es.vectors.tobytes() == vecs.tobytes()
 
 
 def test_lapack_failure_is_no_convergence(monkeypatch):
@@ -319,6 +364,33 @@ def test_rationalize_max_denominator_one():
     assert rationalize(2.6, 0.5, 1) == 3  # the second convergent, 3/1
     with pytest.raises(NoRationalWithinTolerance):
         rationalize(2.5, 0.25, 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.integers(min_value=-(2**53), max_value=2**53),
+        st.floats(min_value=-1e6, max_value=1e6),
+    ),
+    st.sampled_from([5e-324, 1e-12, 1e-9, 1e-3, 0.5]),
+    st.integers(min_value=1, max_value=10**9),
+)
+def test_rationalize_is_the_same_for_every_numeric_type(x, tolerance, max_denominator):
+    forms = [float(x), np.float64(x), Fraction(x)]
+    if float(x).is_integer():
+        forms.append(int(x))
+    answers = {repr(rationalize_or_none(form, tolerance, max_denominator)) for form in forms}
+    assert len(answers) == 1
+
+
+def test_rational_gcd_builds_only_its_result(monkeypatch):
+    values = [Fraction(6 * m * m + 4, 2 * m + 3) for m in range(30)] + [0, 8, Fraction(0)]
+    want = Fraction(
+        math.gcd(*(v.numerator for v in values)), math.lcm(*(v.denominator for v in values))
+    )
+    built = count_fraction_constructions(monkeypatch)
+    assert rational_gcd(values) == want
+    assert len(built) <= 1
 
 
 def test_rational_gcd_integers():

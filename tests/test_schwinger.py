@@ -109,6 +109,25 @@ def test_clock_negative_power_is_inverse():
         assert np.max(np.abs(clock_power(pair, 7 - k) - inv)) < 1e-12
 
 
+def closed_form_clock_power(dim, exponent):
+    """clock**exponent from the reduced phase angles, the formula build_pair uses."""
+    labels = np.arange(dim)
+    return np.diag(np.exp(2j * np.pi * ((exponent % dim * labels) % dim) / dim))
+
+
+def closed_form_shift_power(dim, exponent):
+    """shift**exponent as the identity rolled up by the reduced exponent."""
+    return np.roll(np.eye(dim, dtype=np.complex128), -(exponent % dim), axis=0)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 11, 13, 31])
+def test_powers_equal_the_closed_forms_bit_for_bit(dim):
+    pair = cached_pair(dim)
+    for exponent in range(-2 * dim, 2 * dim + 1):
+        assert np.array_equal(clock_power(pair, exponent), closed_form_clock_power(dim, exponent))
+        assert np.array_equal(shift_power(pair, exponent), closed_form_shift_power(dim, exponent))
+
+
 def test_fourier_matches_overlap_formula():
     pair = cached_pair(5)
     k, m = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")

@@ -23,7 +23,7 @@ from qclock import (
 )
 from qclock.spectrum import reduce_mod_period
 from qclock.verification import random_compatible_spectrum
-from conftest import cached_pair
+from conftest import cached_pair, count_fraction_constructions
 
 
 def brute_force_clock_power(spec):
@@ -338,6 +338,46 @@ def test_certificate_index_is_first_failing_m(spec):
 @given(SPECTRA)
 def test_gate_matches_fraction_division_reference(spec):
     assert decompose_spectrum(spec) == reference_decompose(spec)
+
+
+@st.composite
+def decompositions_and_spectra(draw):
+    """A gate decomposition and its own spectrum, or that spectrum with one numerator off by one."""
+    spec = draw(clock_spectra())
+    dec = decompose_spectrum(spec)
+    energies = list(spec.energies)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, spec.dim - 1))
+        e = energies[i]
+        energies[i] = Fraction(e.numerator + draw(st.sampled_from([-1, 1])), e.denominator)
+    return dec, Spectrum(spec.dim, tuple(energies))
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        decompositions_and_spectra(),
+        st.tuples(clock_spectra().map(decompose_spectrum), SPECTRA),
+    )
+)
+def test_matches_is_exact_equality_of_the_energies(pair):
+    dec, spec = pair
+    assert dec.matches(spec) == (dec.dim == spec.dim and dec.energies() == spec.energies)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 31])
+def test_gate_builds_only_omega(monkeypatch, dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(5):
+        spec, _, _, _ = random_compatible_spectrum(rng, dim)
+        energies = list(spec.energies)
+        energies[1] += Fraction(1, 7)
+        for one in (spec, Spectrum(dim, tuple(energies))):
+            built = count_fraction_constructions(monkeypatch)
+            result = decompose_spectrum(one)
+            assert len(built) <= 1
+            monkeypatch.undo()
+            assert result == reference_decompose(one)
 
 
 @st.composite
