@@ -26,6 +26,7 @@ from .errors import (
 )
 from .numerics import (
     EigenSystem,
+    exchange_phase,
     exp_hermitian,
     hermitian_eig,
     hermiticity_defect,
@@ -83,6 +84,7 @@ from .verification import (
     CheckResult,
     SuiteReport,
     harmonic_spectrum,
+    measure_signs,
     random_compatible_spectrum,
     run_suite,
     skewed_spectrum,

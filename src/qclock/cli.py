@@ -22,16 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .dynamics import clock_run, conjugate_diagonal, measure_shift_sign
-from .errors import (
-    DegenerateSpectrum,
-    DimensionNotOddPrime,
-    IncompatibleSpectrum,
-    QClockError,
-)
+from .dynamics import clock_run, conjugate_diagonal
+from .errors import DegenerateSpectrum, DimensionNotOddPrime, IncompatibleSpectrum, QClockError
 from .numerics import is_odd_prime
 from .phase_space import build_basis, wigner_of_density
-from .schwinger import build_pair, measure_commutation_sign, shift_eigenvector
+from .schwinger import build_pair, shift_eigenvector
 from .spectrum import (
     IncompatibilityCertificate,
     Spectrum,
@@ -40,8 +35,7 @@ from .spectrum import (
     decompose_spectrum,
     rationalize_energies,
 )
-from .time_interval import build_time_operator, measure_weyl_sign
-from .verification import run_suite
+from .verification import measure_signs, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -51,6 +45,9 @@ EXIT_BAD_DIMENSION = 4
 EXIT_INTERNAL = 5
 
 _VERIFY_DIM_CAP = 31  # runtime guard for the verify suite
+_MAX_STEPS = 100_000  # clock ticks; time and memory grow linearly with them
+_TOLERANCE = 1e-9  # analyze's defaults, at which clock and wigner --step decide
+_MAX_DENOMINATOR = 10**6
 _RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
 
 
@@ -119,19 +116,24 @@ def _dump_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _emit(text: str) -> None:
-    """Write text and a final newline to stdout; a reader that has gone is no error.
+def _emit(text: str, stream=None) -> None:
+    """Write text and a final newline to stdout (or stream); a reader that has gone is no error.
 
-    On a closed pipe stdout is pointed at os.devnull, so the unwritten rest
-    and the flush at exit go nowhere and the command keeps its exit code.
+    On a closed pipe the stream is pointed at os.devnull, so the unwritten
+    rest and the flush at exit go nowhere and the command keeps its exit code.
     """
+    stream = stream or sys.stdout  # read per call, as output capture swaps sys.stdout
     try:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-        sys.stdout.flush()
+        stream.write(text if text.endswith("\n") else text + "\n")
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
+
+
+def _report_error(message: str) -> None:
+    _emit(f"error: {message}\n", sys.stderr)  # as print() writes it, even for a trailing newline
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +278,8 @@ def cmd_analyze(args) -> int:
     }
     report.update(_verdict_fields(outcome))
 
-    pair = build_pair(n)
-    signs = {
-        "commutation_sign": measure_commutation_sign(pair),
-        "shift_direction_sign": None,
-        "weyl_pair_sign": None,
-    }
-    if isinstance(outcome, SpectrumDecomposition):
-        signs["shift_direction_sign"] = measure_shift_sign(pair, outcome)
-        signs["weyl_pair_sign"] = measure_weyl_sign(build_time_operator(pair, outcome), outcome)
-    report["convention_notes"] = signs
+    decomp = outcome if isinstance(outcome, SpectrumDecomposition) else None
+    report["convention_notes"] = measure_signs(build_pair(n), decomp)
 
     if args.shift_ground:
         if fractions is None:
@@ -354,7 +348,7 @@ def _compatible(data: dict):
 
     Raises IncompatibleSpectrum, or DegenerateSpectrum, which exits the same way.
     """
-    outcome = analyze_float_spectrum(data["energies"], data["n"], 1e-9, 10**6)
+    outcome = analyze_float_spectrum(data["energies"], data["n"], _TOLERANCE, _MAX_DENOMINATOR)
     if not isinstance(outcome, SpectrumDecomposition):
         raise IncompatibleSpectrum(outcome.detail)
     return Spectrum(dim=outcome.dim, energies=outcome.energies()), outcome
@@ -367,8 +361,6 @@ def cmd_clock(args) -> int:
     steps = args.steps if args.steps is not None else 2 * n
     if not 0 <= args.initial < n:
         raise SpectrumFileError(f"--initial must be in 0..{n - 1}, got {args.initial}")
-    if steps < 1:
-        raise SpectrumFileError(f"--steps must be >= 1, got {steps}")
 
     pair = build_pair(n)
     basis = build_basis(pair)
@@ -427,9 +419,6 @@ def cmd_wigner(args) -> int:
     data = _load_odd_prime_spectrum(args.spectrum)
     n = data["n"]
     kind, index = _parse_state(args.state, n)
-    if (args.time is None) == (args.step is None):
-        raise SpectrumFileError("exactly one of --time or --step is required")
-
     flag = "--time" if args.step is None else "--step"
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -492,10 +481,7 @@ def cmd_wigner(args) -> int:
             buffer.write(f"{m}," + ",".join(cells) + "\n")
         _emit(buffer.getvalue())
     if not real_ok:
-        print(
-            f"error: wigner grid has imaginary parts up to {imag_defect:.3e}",
-            file=sys.stderr,
-        )
+        _report_error(f"wigner grid has imaginary parts up to {imag_defect:.3e}")
         return EXIT_INTERNAL
     return EXIT_OK
 
@@ -561,6 +547,7 @@ _positive_float = _number(
     float, lambda x: math.isfinite(x) and x > 0.0, "a finite positive number"
 )
 _positive_int = _number(int, lambda x: x >= 1, "an integer >= 1")
+_step_count = _number(int, lambda x: 1 <= x <= _MAX_STEPS, f"an integer in 1..{_MAX_STEPS}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="decide whether a spectrum supports a clock")
     p.add_argument("--spectrum", required=True, help="path to a spectrum JSON file")
-    p.add_argument("--tolerance", type=_positive_float, default=1e-9)
-    p.add_argument("--max-denominator", type=_positive_int, default=10**6)
+    p.add_argument("--tolerance", type=_positive_float, default=_TOLERANCE)
+    p.add_argument("--max-denominator", type=_positive_int, default=_MAX_DENOMINATOR)
     p.add_argument("--shift-ground", action="store_true",
                    help="also analyze with the ground energy subtracted")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -582,15 +569,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("clock", help="run the stroboscopic clock protocol")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--initial", type=int, default=0)
-    p.add_argument("--steps", type=int, default=None, help="tick count (default 2N)")
+    p.add_argument("--steps", type=_step_count, default=None, help="tick count (default 2N)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_clock)
 
     p = sub.add_parser("wigner", help="dump the Wigner grid of an evolved state")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--state", required=True, help="v:INT, u:INT, or mixed")
-    p.add_argument("--time", type=_finite_float, default=None)
-    p.add_argument("--step", type=int, default=None)
+    when = p.add_mutually_exclusive_group(required=True)
+    when.add_argument("--time", type=_finite_float)
+    when.add_argument("--step", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_wigner)
 
@@ -603,22 +591,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception types, exit code, message prefix), first match wins
+_FAILURES = (
+    (SpectrumFileError, EXIT_MALFORMED, ""),
+    (DimensionNotOddPrime, EXIT_BAD_DIMENSION, ""),
+    ((IncompatibleSpectrum, DegenerateSpectrum), EXIT_INCOMPATIBLE, "incompatible spectrum: "),
+    (QClockError, EXIT_INTERNAL, "internal consistency failure: "),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpectrumFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except DimensionNotOddPrime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_DIMENSION
-    except (IncompatibleSpectrum, DegenerateSpectrum) as exc:
-        print(f"error: incompatible spectrum: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
     except QClockError as exc:
-        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, prefix = next((c, p) for kinds, c, p in _FAILURES if isinstance(exc, kinds))
+        _report_error(f"{prefix}{exc}")
+        return code
 
 
 if __name__ == "__main__":

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IncompatibleSpectrum,
-    IndexOutOfRange,
-    InternalConsistency,
-)
+from .errors import DimensionMismatch, IncompatibleSpectrum, IndexOutOfRange, InternalConsistency
 from .numerics import exp_hermitian
 from .phase_space import OperatorBasis, check_density, wigner_of_density
 from .schwinger import SchwingerPair, shift_eigenvector
@@ -105,11 +100,14 @@ def measure_shift_sign(pair: SchwingerPair, decomp: SpectrumDecomposition) -> in
     )
 
 
-def _require_match(decomp: SpectrumDecomposition, spec: Spectrum) -> None:
+def _require_consistent(
+    pair: SchwingerPair, basis: OperatorBasis, decomp: SpectrumDecomposition, spec: Spectrum
+) -> None:
+    n = pair.dim
+    if basis.dim != n or decomp.dim != n or spec.dim != n:
+        raise DimensionMismatch("pair, basis, decomposition, and spectrum dims differ")
     if not decomp.matches(spec):
-        raise IncompatibleSpectrum(
-            "decomposition does not reproduce the spectrum exactly"
-        )
+        raise IncompatibleSpectrum("decomposition does not reproduce the spectrum exactly")
 
 
 def clock_run(
@@ -126,17 +124,17 @@ def clock_run(
     tick with the true unitary evolution (never the shift rule).  Occupancy
     is read from the Wigner grid column sums; ties break to the smallest
     index.  One record is emitted per tick j = 0..steps.  The direction sign
-    is set at tick 1 and asserted constant for the whole trace.
+    comes from measure_shift_sign, and every tick, the first included, is
+    asserted to occupy the site it predicts.
     """
+    _require_consistent(pair, basis, decomp, spec)
     n = pair.dim
-    if basis.dim != n or decomp.dim != n or spec.dim != n:
-        raise DimensionMismatch("pair, basis, decomposition, and spectrum dims differ")
-    _require_match(decomp, spec)
     if not 0 <= initial_index < n:
         raise IndexOutOfRange(f"initial index {initial_index} outside 0..{n - 1}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
 
+    sign = measure_shift_sign(pair, decomp)
     dtau = decomp.delta_tau
     tick = decomp.tick_phases(1)
     state = shift_eigenvector(pair, initial_index)
@@ -161,15 +159,6 @@ def clock_run(
         if j < steps:
             rho = conjugate_diagonal(rho, tick)
 
-    first = records[1].occupied_index
-    if first == (initial_index + decomp.k) % n:
-        sign = 1
-    elif first == (initial_index - decomp.k) % n:
-        sign = -1
-    else:
-        raise InternalConsistency(
-            f"tick 1 occupies site {first}, expected {initial_index} +- {decomp.k} (mod {n})"
-        )
     for rec in records:
         expected = (initial_index + sign * rec.j * decomp.k) % n
         if rec.occupied_index != expected:
@@ -197,10 +186,8 @@ def shift_vs_evolution_residual(
     the initial grid the same number of times.  Works for any valid density
     matrix, mixed states included.
     """
+    _require_consistent(pair, basis, decomp, spec)
     n = pair.dim
-    if basis.dim != n or decomp.dim != n or spec.dim != n:
-        raise DimensionMismatch("pair, basis, decomposition, and spectrum dims differ")
-    _require_match(decomp, spec)
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
 

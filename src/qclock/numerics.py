@@ -20,6 +20,7 @@ from .errors import (
     NoConvergence,
     NoRationalWithinTolerance,
     NotHermitian,
+    NotScalarMultiple,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -130,6 +131,21 @@ def exp_hermitian(a, t: float) -> np.ndarray:
     return exp_from_eig(hermitian_eig(a), t)
 
 
+def exchange_phase(a, b, tol: float) -> complex:
+    """The scalar c with a @ b = c * (b @ a), read at the largest entry of b @ a.
+
+    Every entry is checked: one off by more than tol raises NotScalarMultiple,
+    which signals a bug, not a domain condition.
+    """
+    lhs, rhs = a @ b, b @ a
+    idx = int(np.argmax(np.abs(rhs)))
+    c = complex(lhs.flat[idx] / rhs.flat[idx])
+    defect = float(np.max(np.abs(lhs - c * rhs)))
+    if defect > tol:
+        raise NotScalarMultiple(f"a @ b is not a scalar multiple of b @ a (defect {defect:.3e})")
+    return c
+
+
 def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
     """Smallest-denominator continued-fraction convergent of x within tolerance.
 
@@ -144,7 +160,7 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
         raise ValueError("tolerance must be positive")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    if not math.isfinite(x):
+    if not isinstance(x, (int, Fraction)) and not math.isfinite(x):  # exact values need no float
         raise ValueError("x must be finite")
 
     # |p/q - a/b| <= c/d  <=>  |p*b - a*q| * d <= c * q * b, as all of q, b, d > 0

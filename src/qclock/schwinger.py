@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionNotOddPrime, IndexOutOfRange, NotScalarMultiple
-from .numerics import is_odd_prime
+from .numerics import exchange_phase, is_odd_prime
 
 _SCALAR_TOL = 1e-12
 
@@ -81,21 +81,11 @@ def shift_eigenvector(pair: SchwingerPair, k: int) -> np.ndarray:
 def commutation_phase(pair: SchwingerPair, j: int, l: int) -> complex:
     """The scalar c with clock^j shift^l = c * shift^l clock^j.
 
-    c is read off from the first nonzero entry pair and then validated
-    entrywise; a validation failure raises NotScalarMultiple (which would
-    indicate a bug, not a physical condition).  |c| = 1 always.
+    c is read off at the largest entry of shift^l clock^j and then validated
+    entrywise to 1e-12; a validation failure raises NotScalarMultiple (which
+    would indicate a bug, not a physical condition).  |c| = 1 always.
     """
-    lhs = clock_power(pair, j) @ shift_power(pair, l)
-    rhs = shift_power(pair, l) @ clock_power(pair, j)
-    idx = int(np.flatnonzero(np.abs(rhs) > 0.5)[0])
-    c = complex(lhs.flat[idx] / rhs.flat[idx])
-    defect = float(np.max(np.abs(lhs - c * rhs)))
-    if defect > _SCALAR_TOL:
-        raise NotScalarMultiple(
-            f"clock^{j} shift^{l} is not a scalar multiple of the reversed "
-            f"product (defect {defect:.3e})"
-        )
-    return c
+    return exchange_phase(clock_power(pair, j), shift_power(pair, l), _SCALAR_TOL)
 
 
 def measure_commutation_sign(pair: SchwingerPair) -> int:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency, NotScalarMultiple
-from .numerics import EigenSystem, exp_from_eig
+from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency
+from .numerics import EigenSystem, exchange_phase, exp_from_eig
 from .phase_space import OperatorBasis, map_operator
 from .schwinger import SchwingerPair
 from .spectrum import Spectrum, SpectrumDecomposition, reduce_mod_period
@@ -109,8 +109,9 @@ def verify_weyl_pair(
     """Measured exchange phase of the propagator with exp(-i*T*(E_j - E_0)).
 
     Returns the scalar c with G*W = c*W*G, where G propagates by n ticks and
-    W = exp(-i*T*(E_j - E_0)); validated entrywise to 1e-10 (failure raises
-    NotScalarMultiple and indicates a bug).  |c| = 1 and c^N = 1.
+    W = exp(-i*T*(E_j - E_0)); read at the largest entry of W*G, validated
+    entrywise to 1e-10 (failure raises NotScalarMultiple and indicates a bug).
+    |c| = 1 and c^N = 1.
     """
     if top.dim != decomp.dim:
         raise DimensionMismatch(f"operator dim {top.dim} != decomposition dim {decomp.dim}")
@@ -122,17 +123,7 @@ def verify_weyl_pair(
     propagator = np.diag(decomp.tick_phases(n))
     reduced = decomp.tick_energies  # T's eigenvalues are multiples of the tick
     wexp = exp_from_eig(top.eigensystem, reduced[j] - reduced[0])
-    lhs = propagator @ wexp
-    rhs = wexp @ propagator
-    idx = int(np.argmax(np.abs(rhs)))
-    c = complex(lhs.flat[idx] / rhs.flat[idx])
-    defect = float(np.max(np.abs(lhs - c * rhs)))
-    if defect > _SCALAR_TOL:
-        raise NotScalarMultiple(
-            f"propagator and ladder-shift exponential do not exchange with a "
-            f"scalar (defect {defect:.3e})"
-        )
-    return c
+    return exchange_phase(propagator, wexp, _SCALAR_TOL)
 
 
 def measure_weyl_sign(top: TimeIntervalOperator, decomp: SpectrumDecomposition) -> int:

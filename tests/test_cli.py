@@ -368,6 +368,40 @@ def test_closed_stdout_pipe_keeps_the_exit_code(args, code):
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("analyze", "--spectrum", "/nonexistent"), 2),
+        (("verify", "--n", "9"), 4),
+        (("clock", "--spectrum", SQUARES), 3),
+    ],
+)
+def test_closed_stderr_pipe_keeps_the_exit_code(args, code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the error message is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qclock", *args],
+            stdout=subprocess.PIPE,
+            stderr=write_end,
+            text=True,
+            cwd=REPO_ROOT,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("steps", ["0", "100001"])
+def test_clock_steps_outside_the_cap_is_malformed(steps):
+    proc = run_cli("clock", "--spectrum", HARMONIC, "--steps", steps)
+    assert proc.returncode == 2
+    assert "--steps" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verify_seed_changes_only_random_checks():
     a = run_cli("verify", "--n", "3", "--seed", "7")
     b = run_cli("verify", "--n", "3", "--seed", "7")

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclock.dynamics as dynamics
 from qclock import (
     IncompatibleSpectrum,
+    InternalConsistency,
     Spectrum,
     build_time_operator,
     clock_power,
@@ -168,6 +170,14 @@ def test_clock_run_rejects_mismatched_spectrum():
     dec = decompose_spectrum(HARMONIC5)
     with pytest.raises(IncompatibleSpectrum):
         clock_run(pair, basis, dec, SKEWED5, 0, 5)
+
+
+def test_clock_run_asserts_the_measured_direction_at_every_tick(monkeypatch):
+    pair, basis = cached_pair(5), cached_basis(5)
+    dec = decompose_spectrum(SKEWED5)
+    monkeypatch.setattr(dynamics, "measure_shift_sign", lambda p, d: -measure_shift_sign(p, d))
+    with pytest.raises(InternalConsistency, match="tick 1 "):
+        clock_run(pair, basis, dec, SKEWED5, 0, 1)
 
 
 def test_shift_vs_evolution_pure_state():

@@ -11,12 +11,14 @@ from qclock import (
     NoConvergence,
     NoRationalWithinTolerance,
     NotHermitian,
+    NotScalarMultiple,
+    exchange_phase,
     exp_hermitian,
     hermitian_eig,
     rational_gcd,
     rationalize,
 )
-from qclock.schwinger import build_pair, clock_power
+from qclock.schwinger import build_pair, clock_power, shift_power
 from conftest import count_fraction_constructions
 
 
@@ -331,6 +333,17 @@ def test_rationalize_int_beyond_float_precision_is_exact():
     assert rationalize(x, 5e-324, 1) == x
 
 
+@pytest.mark.parametrize("x", [10**400, -(10**400), Fraction(10**400, 3)])
+def test_rationalize_exact_value_beyond_float64_is_exact(x):
+    assert rationalize(x, 1e-9, 10) == x
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_rationalize_non_finite_float_is_a_value_error(x):
+    with pytest.raises(ValueError, match="finite"):
+        rationalize(x, 1e-9, 10)
+
+
 def test_rationalize_tiny_negative_takes_the_exact_convergent():
     # the float quotient of 1/(1 - 1.7e-8) lost digits and gave -1/58427951
     assert rationalize(-1.711509623217893e-08, 2.9e-9, 10**12) == Fraction(-1, 58427950)
@@ -424,6 +437,19 @@ def test_rational_gcd_divides_and_is_maximal():
         assert all(r.denominator == 1 for r in ratios)
         # maximal iff the integer ratios share no further factor
         assert rational_gcd([r for r in ratios if r != 0]) == 1
+
+
+def test_exchange_phase_of_clock_and_shift_powers():
+    pair = build_pair(5)
+    for j in range(5):
+        for l in range(5):
+            c = exchange_phase(clock_power(pair, j), shift_power(pair, l), 1e-12)
+            assert abs(c - np.exp(-2j * np.pi * j * l / 5)) < 1e-12
+
+
+def test_exchange_phase_rejects_a_non_scalar_pair():
+    with pytest.raises(NotScalarMultiple):
+        exchange_phase(np.diag([1.0, 2.0, 3.0]), build_pair(3).shift, 1e-10)
 
 
 def test_large_scale_matrix_converges():

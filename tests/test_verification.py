@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import qclock.verification as verification
-from qclock import Spectrum, SpectrumDecomposition, decompose_spectrum, exp_hermitian
-from qclock.verification import _propagator, harmonic_spectrum, run_suite, skewed_spectrum
+from qclock import Spectrum, SpectrumDecomposition, build_pair, decompose_spectrum, exp_hermitian
+from qclock.verification import harmonic_spectrum, measure_signs, run_suite, skewed_spectrum
 
 
 def squares_spectrum(dim):
@@ -20,7 +20,18 @@ def test_propagator_matches_eigensolver(family, dim):
     if isinstance(dec, SpectrumDecomposition):
         times += [t * dec.delta_tau for t in range(1, 2 * dim + 1)]
     for t in times:
-        assert np.max(np.abs(_propagator(spec, t) - exp_hermitian(h, t))) < 1e-14
+        assert np.max(np.abs(np.diag(spec.phases(t)) - exp_hermitian(h, t))) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_measure_signs_needs_a_spectrum_for_two_signs(dim):
+    pair = build_pair(dim)
+    assert measure_signs(pair) == {
+        "commutation_sign": -1,
+        "shift_direction_sign": None,
+        "weyl_pair_sign": None,
+    }
+    assert measure_signs(pair, decompose_spectrum(skewed_spectrum(dim))) == run_suite(dim).signs
 
 
 def test_suite_exponentiates_only_the_random_hamiltonian(monkeypatch):
