@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AllZero,
-    DegenerateSpectrum,
     DimensionMismatch,
     DimensionNotOddPrime,
     IncompatibleSpectrum,
@@ -52,15 +51,14 @@ from .phase_space import (
     wigner_of_density,
 )
 from .spectrum import (
+    DEGENERATE,
     NOT_COMMENSURABLE,
     RESIDUES_NOT_LINEAR,
     IncompatibilityCertificate,
     Spectrum,
     SpectrumDecomposition,
     analyze_float_spectrum,
-    check_hypothesis,
     decompose_spectrum,
-    power_at_step,
     rationalize_energies,
 )
 from .time_interval import (

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import clock_run, conjugate_diagonal
-from .errors import DegenerateSpectrum, DimensionNotOddPrime, IncompatibleSpectrum, QClockError
+from .errors import DimensionNotOddPrime, IncompatibleSpectrum, QClockError
 from .numerics import is_odd_prime
 from .phase_space import build_basis, wigner_of_density
 from .schwinger import build_pair, shift_eigenvector
@@ -45,6 +44,7 @@ EXIT_BAD_DIMENSION = 4
 EXIT_INTERNAL = 5
 
 _VERIFY_DIM_CAP = 31  # runtime guard for the verify suite
+_SPECTRUM_DIM_CAP = 1009  # N x N complex matrices: ~0.25 GB peak at the cap
 _MAX_STEPS = 100_000  # clock ticks; time and memory grow linearly with them
 _TOLERANCE = 1e-9  # analyze's defaults, at which clock and wigner --step decide
 _MAX_DENOMINATOR = 10**6
@@ -200,8 +200,10 @@ def load_spectrum_file(path: str) -> dict:
 
 
 def _load_odd_prime_spectrum(path: str) -> dict:
-    """load_spectrum_file, then exit 4 unless n is an odd prime."""
+    """load_spectrum_file, then exit 4 unless n is an odd prime <= the cap."""
     data = load_spectrum_file(path)
+    if data["n"] > _SPECTRUM_DIM_CAP:
+        raise DimensionNotOddPrime(f"n = {data['n']} is above the cap of {_SPECTRUM_DIM_CAP}")
     if not is_odd_prime(data["n"]):
         raise DimensionNotOddPrime(f"n = {data['n']} is not an odd prime")
     return data
@@ -209,14 +211,6 @@ def _load_odd_prime_spectrum(path: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # analyze
-
-
-def _decompose_fractions(n: int, fractions):
-    """decompose_spectrum with the all-equal case folded into a certificate."""
-    try:
-        return decompose_spectrum(Spectrum(dim=n, energies=tuple(fractions)))
-    except DegenerateSpectrum as exc:
-        return {"reason": "DegenerateSpectrum", "detail": str(exc)}
 
 
 def _require_printable(field: str, *values: int) -> None:
@@ -242,10 +236,24 @@ def _verdict_fields(outcome) -> dict:
             "delta_tau": outcome.delta_tau,
             "f": list(outcome.f),
         }
-    if isinstance(outcome, IncompatibilityCertificate):
-        fields = dataclasses.asdict(outcome).items()
-        outcome = {key: value for key, value in fields if value is not None}
-    return {"compatible": False, "certificate": outcome}
+    fields = dataclasses.asdict(outcome).items()
+    certificate = {key: value for key, value in fields if value is not None}
+    return {"compatible": False, "certificate": certificate}
+
+
+def _report(command: str, args, data: dict, **extra_input) -> dict:
+    """The opening of a spectrum command's JSON report: version, command, input."""
+    return {
+        "tool_version": __version__,
+        "command": command,
+        "input": {
+            "path": args.spectrum,
+            "n": data["n"],
+            "energies": data["energies"],
+            "label": data["label"],
+            **extra_input,
+        },
+    }
 
 
 def cmd_analyze(args) -> int:
@@ -256,36 +264,24 @@ def cmd_analyze(args) -> int:
     if isinstance(fractions, IncompatibilityCertificate):
         outcome, fractions, residuals = fractions, None, None
     else:
-        outcome = _decompose_fractions(n, fractions)
+        outcome = decompose_spectrum(Spectrum(dim=n, energies=fractions))
         residuals = [
             abs(e - float(x)) if isinstance(e, float) else 0.0
             for e, x in zip(data["energies"], fractions)
         ]
 
-    report = {
-        "tool_version": __version__,
-        "command": "analyze",
-        "input": {
-            "path": args.spectrum,
-            "n": n,
-            "energies": data["energies"],
-            "label": data["label"],
-            "tolerance": args.tolerance,
-            "max_denominator": args.max_denominator,
-            "shift_ground": bool(args.shift_ground),
-        },
-        "rationalization_residuals": residuals,
-    }
+    report = _report("analyze", args, data, tolerance=args.tolerance,
+                     max_denominator=args.max_denominator, shift_ground=bool(args.shift_ground))
+    report["rationalization_residuals"] = residuals
     report.update(_verdict_fields(outcome))
 
     decomp = outcome if isinstance(outcome, SpectrumDecomposition) else None
     report["convention_notes"] = measure_signs(build_pair(n), decomp)
 
     if args.shift_ground:
-        if fractions is None:
-            shifted = outcome
-        else:
-            shifted = _decompose_fractions(n, [e - fractions[0] for e in fractions])
+        shifted = outcome
+        if fractions is not None:
+            shifted = decompose_spectrum(Spectrum(n, tuple(e - fractions[0] for e in fractions)))
         report["shifted"] = _verdict_fields(shifted)
 
     if args.format == "json":
@@ -344,10 +340,7 @@ def _emit_analyze_text(report: dict) -> None:
 
 
 def _compatible(data: dict):
-    """(Spectrum, SpectrumDecomposition) of a loaded spectrum file.
-
-    Raises IncompatibleSpectrum, or DegenerateSpectrum, which exits the same way.
-    """
+    """(Spectrum, SpectrumDecomposition) of a loaded spectrum file; raises IncompatibleSpectrum."""
     outcome = analyze_float_spectrum(data["energies"], data["n"], _TOLERANCE, _MAX_DENOMINATOR)
     if not isinstance(outcome, SpectrumDecomposition):
         raise IncompatibleSpectrum(outcome.detail)
@@ -367,33 +360,23 @@ def cmd_clock(args) -> int:
     trace = clock_run(pair, basis, decomp, spec, args.initial, steps)
 
     if args.format == "json":
-        report = {
-            "tool_version": __version__,
-            "command": "clock",
-            "input": {
-                "path": args.spectrum,
-                "n": n,
-                "energies": data["energies"],
-                "label": data["label"],
-                "initial": args.initial,
-                "steps": steps,
-            },
+        report = _report("clock", args, data, initial=args.initial, steps=steps)
+        report.update({
             "dim": trace.dim,
             "k": trace.k,
             "direction_sign": trace.direction_sign,
             "delta_tau": trace.delta_tau,
             "steps_records": [dataclasses.asdict(rec) for rec in trace.steps],
-        }
+        })
         _emit(_dump_json(report))
     else:
-        buffer = io.StringIO()
-        buffer.write("j,time,occupied_index,occupied_probability,max_offsite\n")
-        for rec in trace.steps:
-            buffer.write(
-                f"{rec.j},{_fmt12(rec.time)},{rec.occupied_index},"
-                f"{_fmt12(rec.occupied_probability)},{_fmt12(rec.max_offsite)}\n"
-            )
-        _emit(buffer.getvalue())
+        lines = ["j,time,occupied_index,occupied_probability,max_offsite"]
+        lines += [
+            f"{rec.j},{_fmt12(rec.time)},{rec.occupied_index},"
+            f"{_fmt12(rec.occupied_probability)},{_fmt12(rec.max_offsite)}"
+            for rec in trace.steps
+        ]
+        _emit("\n".join(lines))
     return EXIT_OK
 
 
@@ -454,32 +437,18 @@ def cmd_wigner(args) -> int:
             values = [[float(x) for x in row] for row in grid.real]
         else:
             values = [[f"{x.real!r}{x.imag:+}j" for x in row] for row in grid]
-        report = {
-            "tool_version": __version__,
-            "command": "wigner",
-            "input": {
-                "path": args.spectrum,
-                "n": n,
-                "energies": data["energies"],
-                "label": data["label"],
-                "state": args.state,
-                "time": t,
-            },
-            "dim": n,
-            "real": real_ok,
-            "values": values,
-        }
+        report = _report("wigner", args, data, state=args.state, time=t)
+        report.update({"dim": n, "real": real_ok, "values": values})
         _emit(_dump_json(report))
     else:
-        buffer = io.StringIO()
-        buffer.write("m\\n," + ",".join(str(c) for c in range(n)) + "\n")
+        lines = ["m\\n," + ",".join(str(c) for c in range(n))]
         for m in range(n):
             if real_ok:
                 cells = [_fmt12(x) for x in grid[m].real]
             else:
                 cells = [f"{_fmt12(x.real)}{'+' if x.imag >= 0 else '-'}{_fmt12(abs(x.imag))}j" for x in grid[m]]
-            buffer.write(f"{m}," + ",".join(cells) + "\n")
-        _emit(buffer.getvalue())
+            lines.append(f"{m}," + ",".join(cells))
+        _emit("\n".join(lines))
     if not real_ok:
         _report_error(f"wigner grid has imaginary parts up to {imag_defect:.3e}")
         return EXIT_INTERNAL
@@ -491,7 +460,7 @@ def cmd_wigner(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not is_odd_prime(args.n) or args.n > _VERIFY_DIM_CAP:
+    if args.n > _VERIFY_DIM_CAP or not is_odd_prime(args.n):
         raise DimensionNotOddPrime(
             f"--n must be an odd prime <= {_VERIFY_DIM_CAP}, got {args.n}"
         )
@@ -547,6 +516,7 @@ _positive_float = _number(
     float, lambda x: math.isfinite(x) and x > 0.0, "a finite positive number"
 )
 _positive_int = _number(int, lambda x: x >= 1, "an integer >= 1")
+_seed = _number(int, lambda x: x >= 0, "an integer >= 0")
 _step_count = _number(int, lambda x: 1 <= x <= _MAX_STEPS, f"an integer in 1..{_MAX_STEPS}")
 
 
@@ -584,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the invariant suite at a dimension")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)
 
@@ -595,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 _FAILURES = (
     (SpectrumFileError, EXIT_MALFORMED, ""),
     (DimensionNotOddPrime, EXIT_BAD_DIMENSION, ""),
-    ((IncompatibleSpectrum, DegenerateSpectrum), EXIT_INCOMPATIBLE, "incompatible spectrum: "),
+    (IncompatibleSpectrum, EXIT_INCOMPATIBLE, "incompatible spectrum: "),
     (QClockError, EXIT_INTERNAL, "internal consistency failure: "),
 )
 

@@ -44,10 +44,6 @@ class NotADensityMatrix(QClockError):
     """Input fails a density-matrix sub-check (named in the message)."""
 
 
-class DegenerateSpectrum(QClockError):
-    """All energies equal: no nontrivial clock power exists."""
-
-
 class IncompatibleSpectrum(QClockError):
     """Spectrum does not match its decomposition, or its tick is no float64."""
 

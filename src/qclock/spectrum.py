@@ -36,7 +36,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import (
-    DegenerateSpectrum,
     DimensionNotOddPrime,
     IncompatibleSpectrum,
     NoRationalWithinTolerance,
@@ -44,6 +43,7 @@ from .errors import (
 from .numerics import is_odd_prime, rationalize
 
 NOT_COMMENSURABLE = "NotCommensurable"
+DEGENERATE = "DegenerateSpectrum"
 RESIDUES_NOT_LINEAR = "ResiduesNotLinear"
 
 
@@ -171,7 +171,8 @@ class IncompatibilityCertificate:
     For RESIDUES_NOT_LINEAR, ``residues`` holds E_m/omega mod N and
     ``first_bad_index`` the first m at which no single k can fit.  For
     NOT_COMMENSURABLE (float front-end only), ``first_bad_index`` is the
-    energy that failed rationalization and ``residues`` is None.
+    energy that failed rationalization and ``residues`` is None.  For
+    DEGENERATE (all energies equal) both are None.
     """
 
     reason: str
@@ -184,6 +185,8 @@ class IncompatibilityCertificate:
             assert self.residues is not None and self.first_bad_index is not None
         elif self.reason == NOT_COMMENSURABLE:
             assert self.residues is None
+        elif self.reason == DEGENERATE:
+            assert self.residues is None and self.first_bad_index is None
         else:
             raise ValueError(f"unknown reason {self.reason!r}")
 
@@ -194,9 +197,10 @@ DecompositionResult = Union[SpectrumDecomposition, IncompatibilityCertificate]
 def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
     """Exact decision procedure described in the module docstring.
 
-    Returns a SpectrumDecomposition or an IncompatibilityCertificate; raises
-    DegenerateSpectrum when all energies are equal (only the trivial k = 0
-    would fit, and the residues then cannot cover all classes mod N).
+    Returns a SpectrumDecomposition or an IncompatibilityCertificate.  When
+    all energies are equal the certificate's reason is DEGENERATE: only the
+    trivial k = 0 would fit, and the residues then cannot cover all classes
+    mod N.
     """
     n = spec.dim
     energies = spec.energies
@@ -204,7 +208,9 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
     den = math.lcm(*(e.denominator for e in energies))
     scaled = [e.numerator * (den // e.denominator) for e in energies]
     if all(a == scaled[0] for a in scaled):
-        raise DegenerateSpectrum("all energies equal; no nonzero clock power fits")
+        return IncompatibilityCertificate(
+            reason=DEGENERATE, detail="all energies equal; no nonzero clock power fits"
+        )
 
     g = math.gcd(*scaled)
     omega = Fraction(g, den)
@@ -269,27 +275,3 @@ def analyze_float_spectrum(
     if isinstance(fracs, IncompatibilityCertificate):
         return fracs
     return decompose_spectrum(Spectrum(dim=dim, energies=fracs))
-
-
-def power_at_step(decomp: SpectrumDecomposition, n: int) -> int:
-    """Clock power after n ticks: (n * k) mod N."""
-    if n < 1:
-        raise ValueError("step count must be >= 1")
-    return (n * decomp.k) % decomp.dim
-
-
-def check_hypothesis(spec: Spectrum, delta_t: float, tolerance: float = 1e-10) -> Optional[int]:
-    """The k (if any) with exp(-i*E_m*delta_t) = exp(-2*pi*i*k*m/N) for all m.
-
-    Returns the unique matching k in 0..N-1, or None when no k (or more than
-    one, which only happens for sloppy tolerances) fits.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    n = spec.dim
-    phases = spec.phases(delta_t)
-    m = np.arange(n)
-    matches = [
-        k for k in range(n) if np.max(np.abs(phases - np.exp(-2j * np.pi * ((k * m) % n) / n))) < tolerance
-    ]
-    return matches[0] if len(matches) == 1 else None

@@ -12,14 +12,12 @@ and never the clock of the unperturbed spectrum, and reports how many
 perturbed spectra were accepted at each N.
 """
 
-import json
 import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-import pytest
 
 from qclock import (
     IncompatibilityCertificate,
@@ -33,7 +31,6 @@ from qclock import (
     evolve_density,
     exp_hermitian,
     map_operator,
-    measure_shift_sign,
     measure_weyl_sign,
     rationalize,
     shift_eigenvector,
@@ -44,7 +41,7 @@ from qclock import (
     wigner_of_density,
 )
 from qclock.verification import random_compatible_spectrum
-from conftest import REPO_ROOT, SPECTRA_DIR, cached_basis, cached_pair
+from conftest import REPO_ROOT, cached_basis, cached_pair
 
 SMALL_DIMS = (3, 5, 7)
 ALL_DIMS = (3, 5, 7, 11, 13)

@@ -341,6 +341,41 @@ def test_verify_rejects_composite_or_large():
     assert run_cli("verify", "--n", "37").returncode == 4
 
 
+def test_verify_large_prime_exits_before_the_primality_test():
+    n = str(2**89 - 1)  # a Mersenne prime: trial division would not finish
+    proc = subprocess.run(
+        [sys.executable, "-m", "qclock", "verify", "--n", n],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+        timeout=20,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == f"error: --n must be an odd prime <= 31, got {n}\n"
+
+
+def test_negative_seed_is_malformed():
+    proc = run_cli("verify", "--n", "3", "--seed", "-1")
+    assert proc.returncode == 2
+    assert "--seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze",), ("clock", "--steps", "1"), ("wigner", "--state", "v:0", "--step", "1")],
+    ids=["analyze", "clock", "wigner"],
+)
+def test_spectrum_above_the_dimension_cap_exits_four(tmp_path, argv):
+    path = write_spectrum(tmp_path, {"n": 1013, "energies": list(range(1013))})
+    command, *flags = argv
+    proc = run_cli(command, "--spectrum", path, *flags)
+    assert proc.returncode == 4
+    assert proc.stderr == "error: n = 1013 is above the cap of 1009\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "args, code",
     [

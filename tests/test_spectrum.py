@@ -7,18 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qclock import (
-    DegenerateSpectrum,
+    DEGENERATE,
     IncompatibilityCertificate,
     NOT_COMMENSURABLE,
     RESIDUES_NOT_LINEAR,
     Spectrum,
     SpectrumDecomposition,
     analyze_float_spectrum,
-    check_hypothesis,
     clock_power,
     decompose_spectrum,
     exp_hermitian,
-    power_at_step,
     rational_gcd,
 )
 from qclock.spectrum import reduce_mod_period
@@ -88,11 +86,20 @@ def test_zero_gap_at_index_one_fails():
     assert cert.first_bad_index == 1
 
 
-def test_degenerate_spectrum_raises():
-    with pytest.raises(DegenerateSpectrum):
-        decompose_spectrum(Spectrum(3, (3, 3, 3)))
-    with pytest.raises(DegenerateSpectrum):
-        decompose_spectrum(Spectrum(3, (0, 0, 0)))
+def test_degenerate_spectrum_returns_a_certificate():
+    for energies in ((3, 3, 3), (0, 0, 0)):
+        cert = decompose_spectrum(Spectrum(3, energies))
+        assert cert == IncompatibilityCertificate(
+            DEGENERATE, detail="all energies equal; no nonzero clock power fits"
+        )
+        assert cert.residues is None and cert.first_bad_index is None
+
+
+def test_float_front_end_degenerate_certificate():
+    cert = analyze_float_spectrum([0.5] * 5, 5, 1e-9, 10**6)
+    assert cert == decompose_spectrum(Spectrum(5, (Fraction(1, 2),) * 5))
+    assert cert.reason == DEGENERATE
+    assert cert.residues is None and cert.first_bad_index is None
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7, 11])
@@ -162,28 +169,6 @@ def test_float_front_end_decides_exact_entries_exactly(energies):
     assert analyze_float_spectrum(energies, 5, 1e-9, 10**6) == want
 
 
-def test_power_at_step():
-    skew = decompose_spectrum(Spectrum(5, (0, 7, 24, 51, 88)))
-    assert power_at_step(skew, 1) == 2
-    assert power_at_step(skew, 3) == 1
-    harm = decompose_spectrum(Spectrum(5, (0, 1, 2, 3, 4)))
-    assert power_at_step(harm, 5) == 0
-
-
-def test_check_hypothesis_harmonic():
-    spec = Spectrum(5, (0, 1, 2, 3, 4))
-    assert check_hypothesis(spec, 2 * np.pi / 5) == 1
-    assert check_hypothesis(spec, 4 * np.pi / 5) == 2
-    assert check_hypothesis(spec, np.pi / 5) is None
-
-
-def test_check_hypothesis_consistent_with_power_at_step():
-    spec = Spectrum(5, (0, 7, 24, 51, 88))
-    dec = decompose_spectrum(spec)
-    for n in range(1, 11):
-        assert check_hypothesis(spec, n * dec.delta_tau) == power_at_step(dec, n)
-
-
 def test_perturbation_flips_verdict_for_bundled_n5_cases():
     # the canonical n=5 spectra reject an irrational offset at every index
     for base in ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 7.0, 24.0, 51.0, 88.0]):
@@ -192,12 +177,6 @@ def test_perturbation_flips_verdict_for_bundled_n5_cases():
             floats[i] += np.sqrt(2.0) * 1e-3
             res = analyze_float_spectrum(floats, 5, 1e-9, 10**6)
             assert isinstance(res, IncompatibilityCertificate)
-
-
-def test_power_at_step_requires_positive_step():
-    dec = decompose_spectrum(Spectrum(5, (0, 1, 2, 3, 4)))
-    with pytest.raises(ValueError):
-        power_at_step(dec, 0)
 
 
 def test_spectrum_validates_shape():
