@@ -120,12 +120,12 @@ def clock_run(
 ) -> ClockTrace:
     """Run the clock protocol for the given number of ticks.
 
-    The state starts in shift eigenvector |s_i| and is propagated tick by
-    tick with the true unitary evolution (never the shift rule).  Occupancy
-    is read from the Wigner grid column sums; ties break to the smallest
-    index.  One record is emitted per tick j = 0..steps.  The direction sign
-    comes from measure_shift_sign, and every tick, the first included, is
-    asserted to occupy the site it predicts.
+    The state vector starts as shift eigenvector |s_i> and each tick applies
+    the true unitary evolution (never the shift rule).  Occupancy is the
+    Fourier population |F psi|^2, so max_offsite is >= 0 (about 1e-32); ties
+    break to the smallest index.  At the first and last tick the Wigner grid
+    column sums / N must match it to 1e-10.  One record per tick j = 0..steps;
+    each must occupy the site the measured direction sign predicts.
     """
     _require_consistent(pair, basis, decomp, spec)
     n = pair.dim
@@ -138,13 +138,19 @@ def clock_run(
     dtau = decomp.delta_tau
     tick = decomp.tick_phases(1)
     state = shift_eigenvector(pair, initial_index)
-    rho = np.outer(state, state.conj())
 
     records = []
     for j in range(steps + 1):
-        grid = wigner_of_density(basis, rho)
-        populations = grid.real.sum(axis=0) / n
+        populations = np.abs(pair.fourier @ state) ** 2
+        if j in (0, steps):
+            sums = wigner_of_density(basis, np.outer(state, state.conj())).sum(axis=0) / n
+            gap = float(np.max(np.abs(sums - populations)))
+            if gap > 1e-10:
+                raise InternalConsistency(f"tick {j}: Wigner column sums miss |F psi|^2 by {gap:.3e}")
         occupied = int(np.argmax(populations))
+        expected = (initial_index + sign * j * decomp.k) % n
+        if occupied != expected:
+            raise InternalConsistency(f"tick {j} occupies site {occupied}, expected {expected}")
         offsite = populations.copy()
         offsite[occupied] = -np.inf
         records.append(
@@ -156,15 +162,7 @@ def clock_run(
                 max_offsite=float(np.max(offsite)),
             )
         )
-        if j < steps:
-            rho = conjugate_diagonal(rho, tick)
-
-    for rec in records:
-        expected = (initial_index + sign * rec.j * decomp.k) % n
-        if rec.occupied_index != expected:
-            raise InternalConsistency(
-                f"tick {rec.j} occupies site {rec.occupied_index}, expected {expected}"
-            )
+        state = tick * state
 
     return ClockTrace(
         dim=n, k=decomp.k, direction_sign=sign, delta_tau=dtau, steps=tuple(records)

@@ -131,18 +131,21 @@ def exp_hermitian(a, t: float) -> np.ndarray:
     return exp_from_eig(hermitian_eig(a), t)
 
 
-def exchange_phase(a, b, tol: float) -> complex:
-    """The scalar c with a @ b = c * (b @ a), read at the largest entry of b @ a.
+def exchange_phase(d, b, tol: float) -> complex:
+    """The scalar c with D @ b = c * (b @ D) for D = diag(d), read at the largest entry of b @ D.
 
     Every entry is checked: one off by more than tol raises NotScalarMultiple,
     which signals a bug, not a domain condition.
     """
-    lhs, rhs = a @ b, b @ a
+    d = np.asarray(d)
+    if d.ndim != 1 or d.shape[0] != b.shape[0]:
+        raise DimensionMismatch(f"diagonal operand of shape {d.shape} does not fit {b.shape}")
+    lhs, rhs = d[:, None] * b, b * d
     idx = int(np.argmax(np.abs(rhs)))
     c = complex(lhs.flat[idx] / rhs.flat[idx])
     defect = float(np.max(np.abs(lhs - c * rhs)))
     if defect > tol:
-        raise NotScalarMultiple(f"a @ b is not a scalar multiple of b @ a (defect {defect:.3e})")
+        raise NotScalarMultiple(f"diag(d) @ b is not a scalar multiple of b @ diag(d) (defect {defect:.3e})")
     return c
 
 

@@ -85,7 +85,7 @@ def commutation_phase(pair: SchwingerPair, j: int, l: int) -> complex:
     entrywise to 1e-12; a validation failure raises NotScalarMultiple (which
     would indicate a bug, not a physical condition).  |c| = 1 always.
     """
-    return exchange_phase(clock_power(pair, j), shift_power(pair, l), _SCALAR_TOL)
+    return exchange_phase(clock_power(pair, j).diagonal(), shift_power(pair, l), _SCALAR_TOL)
 
 
 def measure_commutation_sign(pair: SchwingerPair) -> int:

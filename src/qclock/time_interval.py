@@ -50,14 +50,17 @@ class TimeIntervalOperator:
 
 
 def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> TimeIntervalOperator:
-    """Assemble T = dtau * sum_l l |s_l><s_l| in the clock basis."""
+    """Assemble T = dtau * sum_l l |s_l><s_l| in the clock basis from its closed form."""
     if pair.dim != decomp.dim:
         raise DimensionMismatch(f"pair dim {pair.dim} != decomposition dim {decomp.dim}")
     n = pair.dim
     dtau = decomp.delta_tau
     eigvecs = pair.fourier.conj().T  # column l is the l-th shift eigenvector
-    eigvals = dtau * np.arange(n)
-    matrix = (eigvecs * eigvals) @ eigvecs.conj().T
+    labels = np.arange(n)
+    eigvals = dtau * labels
+    # T[r, s] = (dtau/N) sum_l l z^(l(r-s)) = dtau/(z^(r-s) - 1), or dtau*(N-1)/2 at r = s
+    row = np.concatenate(([dtau * (n - 1) / 2], dtau / (pair.clock.diagonal()[1:] - 1.0)))
+    matrix = row[(labels[:, None] - labels) % n]
     for arr in (eigvecs, eigvals, matrix):
         arr.setflags(write=False)
     return TimeIntervalOperator(
@@ -120,10 +123,9 @@ def verify_weyl_pair(
     if not 0 <= j < top.dim:
         raise IndexOutOfRange(f"ladder index {j} outside 0..{top.dim - 1}")
 
-    propagator = np.diag(decomp.tick_phases(n))
     reduced = decomp.tick_energies  # T's eigenvalues are multiples of the tick
     wexp = exp_from_eig(top.eigensystem, reduced[j] - reduced[0])
-    return exchange_phase(propagator, wexp, _SCALAR_TOL)
+    return exchange_phase(decomp.tick_phases(n), wexp, _SCALAR_TOL)
 
 
 def measure_weyl_sign(top: TimeIntervalOperator, decomp: SpectrumDecomposition) -> int:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import (
     clock_run,
+    conjugate_diagonal,
     evolve_density,
     measure_shift_sign,
     shift_vs_evolution_residual,
@@ -283,7 +284,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
 
     # the exchange phase only sees the ladder gap, not which rung it starts on
     energies = skewed.as_floats()
-    prop = np.diag(d_skew.tick_phases(1))
+    prop = d_skew.tick_phases(1)
     worst = 0.0
     for j in (1, 2):
         reference = verify_weyl_pair(top_skew, d_skew, 1, j)
@@ -313,9 +314,14 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         for _ in range(n):
             rho_n = evolve_density(rho_n, h, dec.delta_tau)
         checks.append(_upper(f"clock-periodicity-{label}", _max_abs(rho_n - rho0), 1e-10))
+        # one tick sees the time direction, which N ticks (the identity) cannot
+        one_tick = evolve_density(rho0, h, dec.delta_tau) - conjugate_diagonal(rho0, dec.tick_phases(1))
+        checks.append(_upper(f"clock-periodicity-{label}-one-tick", _max_abs(one_tick), 1e-10))
 
-        residual = shift_vs_evolution_residual(pair, basis, dec, spec, random_density(rng, n), n)
-        checks.append(_upper(f"dynamics-shift-vs-evolution-{label}", residual, 1e-9))
+        rho = random_density(rng, n)
+        for suffix, ticks in (("", n), ("-one-tick", 1), ("-two-ticks", 2)):
+            residual = shift_vs_evolution_residual(pair, basis, dec, spec, rho, ticks)
+            checks.append(_upper(f"dynamics-shift-vs-evolution-{label}{suffix}", residual, 1e-9))
 
     grid0 = wigner_of_density(basis, random_density(rng, n))
     rolled = grid0

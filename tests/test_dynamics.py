@@ -25,6 +25,8 @@ from qclock import (
     stroboscopic_step,
     wigner_of_density,
 )
+from qclock.dynamics import conjugate_diagonal
+from qclock.verification import harmonic_spectrum, skewed_spectrum
 from conftest import cached_basis, cached_pair
 
 HARMONIC5 = Spectrum(5, (0, 1, 2, 3, 4))
@@ -178,6 +180,54 @@ def test_clock_run_asserts_the_measured_direction_at_every_tick(monkeypatch):
     monkeypatch.setattr(dynamics, "measure_shift_sign", lambda p, d: -measure_shift_sign(p, d))
     with pytest.raises(InternalConsistency, match="tick 1 "):
         clock_run(pair, basis, dec, SKEWED5, 0, 1)
+
+
+def test_clock_run_checks_the_wigner_marginal_at_tick_zero(monkeypatch):
+    pair, basis = cached_pair(5), cached_basis(5)
+    dec = decompose_spectrum(SKEWED5)
+    monkeypatch.setattr(dynamics, "wigner_of_density", lambda b, rho: wigner_of_density(b, rho).T)
+    with pytest.raises(InternalConsistency, match="tick 0"):
+        clock_run(pair, basis, dec, SKEWED5, 0, 5)
+
+
+def test_clock_run_maps_the_wigner_grid_only_at_the_ends(monkeypatch):
+    pair, basis = cached_pair(5), cached_basis(5)
+    dec = decompose_spectrum(SKEWED5)
+    calls = []
+
+    def counting(b, rho):
+        calls.append(rho)
+        return wigner_of_density(b, rho)
+
+    monkeypatch.setattr(dynamics, "wigner_of_density", counting)
+    clock_run(pair, basis, dec, SKEWED5, 0, 12)
+    assert len(calls) == 2
+
+
+def per_tick_wigner_reading(pair, basis, dec, start, steps):
+    """Each tick's (site, population, largest off-site population) from the density's Wigner grid."""
+    state = shift_eigenvector(pair, start)
+    rho = np.outer(state, state.conj())
+    readings = []
+    for _ in range(steps + 1):
+        populations = wigner_of_density(basis, rho).real.sum(axis=0) / pair.dim
+        occupied = int(np.argmax(populations))
+        readings.append((occupied, populations[occupied], np.max(np.delete(populations, occupied))))
+        rho = conjugate_diagonal(rho, dec.tick_phases(1))
+    return readings
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 11, 31])
+def test_clock_run_matches_a_per_tick_wigner_reading(n):
+    pair, basis = cached_pair(n), cached_basis(n)
+    for spec in (harmonic_spectrum(n), skewed_spectrum(n)):
+        dec = decompose_spectrum(spec)
+        trace = clock_run(pair, basis, dec, spec, 1, 2 * n)
+        reference = per_tick_wigner_reading(pair, basis, dec, 1, 2 * n)
+        for rec, (occupied, probability, offsite) in zip(trace.steps, reference, strict=True):
+            assert rec.occupied_index == occupied
+            assert abs(rec.occupied_probability - probability) <= 1e-15
+            assert abs(rec.max_offsite - offsite) <= 1e-15
 
 
 def test_shift_vs_evolution_pure_state():

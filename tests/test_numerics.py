@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qclock import (
     AllZero,
+    DimensionMismatch,
     NoConvergence,
     NoRationalWithinTolerance,
     NotHermitian,
@@ -443,13 +444,39 @@ def test_exchange_phase_of_clock_and_shift_powers():
     pair = build_pair(5)
     for j in range(5):
         for l in range(5):
-            c = exchange_phase(clock_power(pair, j), shift_power(pair, l), 1e-12)
+            c = exchange_phase(clock_power(pair, j).diagonal(), shift_power(pair, l), 1e-12)
             assert abs(c - np.exp(-2j * np.pi * j * l / 5)) < 1e-12
 
 
 def test_exchange_phase_rejects_a_non_scalar_pair():
     with pytest.raises(NotScalarMultiple):
-        exchange_phase(np.diag([1.0, 2.0, 3.0]), build_pair(3).shift, 1e-10)
+        exchange_phase(np.array([1.0, 2.0, 3.0]), build_pair(3).shift, 1e-10)
+
+
+def dense_exchange_reading(d, b):
+    """The reading exchange_phase made from the dense products diag(d) @ b and b @ diag(d)."""
+    lhs, rhs = np.diag(d) @ b, b @ np.diag(d)
+    idx = int(np.argmax(np.abs(rhs)))
+    return complex(lhs.flat[idx] / rhs.flat[idx])
+
+
+def test_exchange_phase_matches_the_dense_products():
+    rng = np.random.default_rng(13)
+    pair = build_pair(7)
+    for j in range(7):
+        for l in range(7):
+            d = clock_power(pair, j).diagonal()
+            # shift^l times a diagonal is a Weyl partner of every clock power
+            b = shift_power(pair, l) * (rng.normal(size=7) + 1j * rng.normal(size=7))
+            assert abs(exchange_phase(d, b, 1e-12) - dense_exchange_reading(d, b)) <= 1e-15
+
+
+def test_exchange_phase_takes_the_diagonal_operand_as_its_diagonal():
+    pair = build_pair(5)
+    with pytest.raises(DimensionMismatch):
+        exchange_phase(clock_power(pair, 1), shift_power(pair, 1), 1e-12)
+    with pytest.raises(DimensionMismatch):
+        exchange_phase(np.ones(3), shift_power(pair, 1), 1e-12)
 
 
 def test_large_scale_matrix_converges():

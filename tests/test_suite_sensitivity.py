@@ -1,0 +1,49 @@
+"""Each one-line fault in the dynamics must make the suite fail a named check.
+
+A mutant replaces one library function in every module that calls it; the
+suite then runs in-process.  After exactly N ticks every time direction and
+every shift rule give the identity, so these faults are seen only by the
+one- and two-tick checks.
+"""
+
+import numpy as np
+import pytest
+
+import qclock.dynamics as dynamics
+import qclock.verification as verification
+from qclock.verification import run_suite
+
+_evolve_density = dynamics.evolve_density
+_stroboscopic_step = dynamics.stroboscopic_step
+
+
+def reversed_conjugate_diagonal(rho, phases):
+    return rho * np.outer(np.conj(phases), phases)
+
+
+def reversed_evolve_density(rho, hamiltonian, t):
+    return _evolve_density(rho, hamiltonian, -t)
+
+
+def unsigned_stroboscopic_step(grid, k, sign):
+    return _stroboscopic_step(grid, k, 1)
+
+
+def overshooting_stroboscopic_step(grid, k, sign):
+    return np.roll(np.asarray(grid), sign * (k + 1), axis=1)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, caught_by",
+    [
+        ("conjugate_diagonal", reversed_conjugate_diagonal, "clock-periodicity-skewed-one-tick"),
+        ("evolve_density", reversed_evolve_density, "clock-periodicity-harmonic-one-tick"),
+        ("stroboscopic_step", unsigned_stroboscopic_step, "dynamics-shift-vs-evolution-skewed-one-tick"),
+        ("stroboscopic_step", overshooting_stroboscopic_step, "dynamics-shift-vs-evolution-harmonic-two-ticks"),
+    ],
+)
+def test_suite_fails_a_named_check_for_each_dynamics_mutant(monkeypatch, name, mutant, caught_by):
+    for module in (dynamics, verification):
+        monkeypatch.setattr(module, name, mutant)
+    failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
+    assert caught_by in failing

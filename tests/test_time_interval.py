@@ -180,3 +180,13 @@ def test_weyl_pair_index_gates():
         verify_weyl_pair(top, dec, 1, 5)
     with pytest.raises(ValueError):
         verify_weyl_pair(top, dec, -1, 1)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31, 211])
+def test_closed_form_matches_the_fourier_diagonalization(dim):
+    pair = cached_pair(dim)
+    top = build_time_operator(pair, decompose_spectrum(Spectrum(dim, tuple(range(dim)))))
+    by_fourier = (pair.fourier.conj().T * (top.delta_tau * np.arange(dim))) @ pair.fourier
+    assert np.max(np.abs(top.matrix - by_fourier)) <= 1e-12
+    # circulant: every entry repeats exactly one step down the diagonal
+    assert np.array_equal(top.matrix, np.roll(top.matrix, (1, 1), axis=(0, 1)))

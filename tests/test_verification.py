@@ -45,3 +45,43 @@ def test_suite_exponentiates_only_the_random_hamiltonian(monkeypatch):
     report = run_suite(5)
     assert len(calls) <= 3  # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t))
     assert {chk.name for chk in report.checks if not chk.passed} == {"spectrum-perturbation-reject"}
+
+
+SUITE_CHECKS_N5 = [
+    "basis-hermiticity", "basis-linearity", "basis-marginals", "basis-orthogonality",
+    "basis-roundtrip", "basis-sum-identity", "basis-trace", "basis-transform",
+    "clock-coverage-harmonic", "clock-coverage-skewed",
+    "clock-occupancy-harmonic", "clock-occupancy-skewed",
+    "clock-periodicity-harmonic", "clock-periodicity-harmonic-one-tick",
+    "clock-periodicity-skewed", "clock-periodicity-skewed-one-tick",
+    "control-half-tick-offsite", "control-incompatible-scan",
+    "dynamics-hypothesis-harmonic", "dynamics-hypothesis-skewed",
+    "dynamics-shift-cyclic", "dynamics-shift-delta",
+    "dynamics-shift-vs-evolution-harmonic", "dynamics-shift-vs-evolution-harmonic-one-tick",
+    "dynamics-shift-vs-evolution-harmonic-two-ticks",
+    "dynamics-shift-vs-evolution-skewed", "dynamics-shift-vs-evolution-skewed-one-tick",
+    "dynamics-shift-vs-evolution-skewed-two-ticks",
+    "eig-orthonormality", "eig-reconstruction", "exp-additivity", "mub-overlap",
+    "rationalize-roundtrip",
+    "schwinger-commutation-table", "schwinger-cyclic-inverse", "schwinger-fourier-eigen",
+    "schwinger-fourier-unitary", "schwinger-shift-action",
+    "spectrum-completeness", "spectrum-lambda-maximality", "spectrum-perturbation-reject",
+    "spectrum-soundness",
+    "tio-eigen-action-harmonic", "tio-eigen-action-skewed",
+    "tio-energy-shift-harmonic", "tio-energy-shift-skewed",
+    "tio-grid-harmonic", "tio-grid-skewed",
+    "tio-hermiticity-harmonic", "tio-hermiticity-skewed",
+    "tio-trace-harmonic", "tio-trace-skewed",
+    "tio-weyl-gap-only", "tio-weyl-phase-harmonic", "tio-weyl-phase-skewed",
+    "trace-cyclicity",
+]
+
+
+def test_suite_runs_exactly_the_pinned_checks():
+    # a dropped or renamed check fails here, not only lowers a count
+    assert [chk.name for chk in run_suite(5).checks] == SUITE_CHECKS_N5
+
+
+def test_perturbation_check_fails_for_most_but_not_all_dimensions():
+    assert run_suite(23).passed
+    assert {chk.name for chk in run_suite(7).checks if not chk.passed} == {"spectrum-perturbation-reject"}
