@@ -36,6 +36,7 @@ from .numerics import (
 from .schwinger import (
     SchwingerPair,
     build_pair,
+    clock_diagonal,
     clock_power,
     commutation_phase,
     measure_commutation_sign,

@@ -144,7 +144,7 @@ def clock_run(
         populations = np.abs(pair.fourier @ state) ** 2
         if j in (0, steps):
             sums = wigner_of_density(basis, np.outer(state, state.conj())).sum(axis=0) / n
-            gap = float(np.max(np.abs(sums - populations)))
+            gap = float(np.abs(sums - populations).max())
             if gap > 1e-10:
                 raise InternalConsistency(f"tick {j}: Wigner column sums miss |F psi|^2 by {gap:.3e}")
         occupied = int(np.argmax(populations))

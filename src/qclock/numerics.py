@@ -45,7 +45,7 @@ def _as_square_complex(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():  # complex isfinite: both parts finite
         raise ValueError("matrix entries must be finite")
     return arr
 
@@ -53,7 +53,7 @@ def _as_square_complex(a) -> np.ndarray:
 def hermiticity_defect(a) -> float:
     """Largest entrywise deviation of a matrix from its adjoint."""
     arr = _as_square_complex(a)
-    return float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    return float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,6 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
         raise NotHermitian(f"max |A - A^dag| = {defect:.3e} exceeds {HERMITICITY_TOL}")
 
     work = 0.5 * (arr + arr.conj().T)  # exact Hermitian symmetrization
-    scale = max(1.0, float(np.max(np.abs(work))) if work.size else 0.0)
     try:
         if not vectors:
             values = np.linalg.eigvalsh(work)
@@ -102,6 +101,7 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK did not converge: {exc}") from exc
 
+    scale = max(1.0, float(np.abs(work).max()) if work.size else 0.0)
     pivots = _pivots(vecs)
     vecs *= np.conj(pivots) / np.hypot(pivots.real, pivots.imag)  # |pivot| as abs() rounds it
 
@@ -134,17 +134,21 @@ def exp_hermitian(a, t: float) -> np.ndarray:
 def exchange_phase(d, b, tol: float) -> complex:
     """The scalar c with D @ b = c * (b @ D) for D = diag(d), read at the largest entry of b @ D.
 
-    Every entry is checked: one off by more than tol raises NotScalarMultiple,
-    which signals a bug, not a domain condition.
+    Every entry is checked: one off by more than tol, a NaN anywhere, or a
+    b @ D that vanishes raises NotScalarMultiple, which signals a bug, not a
+    domain condition.
     """
     d = np.asarray(d)
     if d.ndim != 1 or d.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"diagonal operand of shape {d.shape} does not fit {b.shape}")
     lhs, rhs = d[:, None] * b, b * d
-    idx = int(np.argmax(np.abs(rhs)))
-    c = complex(lhs.flat[idx] / rhs.flat[idx])
-    defect = float(np.max(np.abs(lhs - c * rhs)))
-    if defect > tol:
+    idx = int(np.argmax(np.abs(rhs)))  # a NaN or inf anywhere in d or b lands in rhs and wins
+    pivot = rhs.flat[idx]
+    if pivot == 0 or not np.isfinite(pivot):
+        raise NotScalarMultiple(f"b @ diag(d) has no finite nonzero entry to read a phase at (largest {pivot})")
+    c = complex(lhs.flat[idx] / pivot)
+    defect = float(np.abs(lhs - c * rhs).max())
+    if not defect <= tol:
         raise NotScalarMultiple(f"diag(d) @ b is not a scalar multiple of b @ diag(d) (defect {defect:.3e})")
     return c
 
@@ -166,9 +170,11 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
     if not isinstance(x, (int, Fraction)) and not math.isfinite(x):  # exact values need no float
         raise ValueError("x must be finite")
 
-    # |p/q - a/b| <= c/d  <=>  |p*b - a*q| * d <= c * q * b, as all of q, b, d > 0
+    # |p/q - a/b| <= c/d  <=>  |p*b - a*q| * d <= c * b * q, as all of q, b, d > 0,
+    # and |p*b - a*q| is exactly the remainder of the Euclid step that gives p/q
     a, b = x.as_integer_ratio()
     c, d = tolerance.as_integer_ratio()
+    cb = c * b
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
     num, den = a, b  # Euclid on a/b: the partial quotients are exact
@@ -179,7 +185,7 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
         if q_cur > max_denominator:
             break
         # rem == 0 makes p_cur/q_cur == a/b, which passes: the loop ends
-        if abs(p_cur * b - a * q_cur) * d <= c * q_cur * b:
+        if rem * d <= cb * q_cur:
             return Fraction(p_cur, q_cur)
         p_prev, p_prev2 = p_cur, p_prev
         q_prev, q_prev2 = q_cur, q_prev

@@ -141,7 +141,7 @@ def check_density(rho) -> np.ndarray:
     defect = hermiticity_defect(rho)
     if defect > DENSITY_HERM_TOL:
         raise NotADensityMatrix(f"not Hermitian: max |rho - rho^dag| = {defect:.3e}")
-    trace_defect = abs(complex(np.trace(rho)) - 1.0)
+    trace_defect = abs(complex(rho.trace()) - 1.0)
     if trace_defect > DENSITY_TRACE_TOL:
         raise NotADensityMatrix(f"trace differs from 1 by {trace_defect:.3e}")
     # symmetrize: the 1e-10 hermiticity allowance exceeds the eigensolver's gate

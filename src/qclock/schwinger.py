@@ -50,15 +50,20 @@ def build_pair(dim: int) -> SchwingerPair:
     return SchwingerPair(dim=dim, clock=clock, shift=shift, fourier=fourier)
 
 
-def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
-    """clock**exponent, any integer exponent, reduced mod N.
+def clock_diagonal(pair: SchwingerPair, exponent: int) -> np.ndarray:
+    """The diagonal of clock**exponent, any integer exponent, reduced mod N.
 
     Entry l is the pair's own clock phase at (exponent*l) mod N, read from its
     table, so negative powers are as accurate as positive ones.
     """
     e = exponent % pair.dim
     labels = np.arange(pair.dim)
-    return np.diag(pair.clock.diagonal()[(e * labels) % pair.dim])
+    return pair.clock.diagonal()[(e * labels) % pair.dim]
+
+
+def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
+    """clock**exponent as a dense diagonal matrix (see clock_diagonal)."""
+    return np.diag(clock_diagonal(pair, exponent))
 
 
 def shift_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
@@ -85,7 +90,7 @@ def commutation_phase(pair: SchwingerPair, j: int, l: int) -> complex:
     entrywise to 1e-12; a validation failure raises NotScalarMultiple (which
     would indicate a bug, not a physical condition).  |c| = 1 always.
     """
-    return exchange_phase(clock_power(pair, j).diagonal(), shift_power(pair, l), _SCALAR_TOL)
+    return exchange_phase(clock_diagonal(pair, j), shift_power(pair, l), _SCALAR_TOL)
 
 
 def measure_commutation_sign(pair: SchwingerPair) -> int:

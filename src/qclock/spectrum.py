@@ -47,6 +47,16 @@ DEGENERATE = "DegenerateSpectrum"
 RESIDUES_NOT_LINEAR = "ResiduesNotLinear"
 
 
+def _require_odd_prime(dim: int) -> None:
+    if not is_odd_prime(dim):
+        raise DimensionNotOddPrime(f"dimension must be an odd prime, got {dim}")
+
+
+def _require_length(dim: int, energies: tuple) -> None:
+    if len(energies) != dim:
+        raise ValueError(f"expected {dim} energies, got {len(energies)}")
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Exactly N rational energies, indexed by the diagonal-basis label m."""
@@ -55,11 +65,9 @@ class Spectrum:
     energies: tuple
 
     def __post_init__(self):
-        if not is_odd_prime(self.dim):
-            raise DimensionNotOddPrime(f"dimension must be an odd prime, got {self.dim}")
+        _require_odd_prime(self.dim)
         energies = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.energies)
-        if len(energies) != self.dim:
-            raise ValueError(f"expected {self.dim} energies, got {len(energies)}")
+        _require_length(self.dim, energies)
         object.__setattr__(self, "energies", energies)
 
     def as_floats(self) -> np.ndarray:
@@ -67,7 +75,7 @@ class Spectrum:
         out = np.empty(self.dim)
         for m, e in enumerate(self.energies):
             try:
-                out[m] = float(e)
+                out[m] = e.numerator / e.denominator  # float(e), without the ABC dispatch
             except OverflowError:
                 raise OverflowError(f"energy {m} is beyond the float64 range") from None
         return out
@@ -124,7 +132,7 @@ class SpectrumDecomposition:
         Raises IncompatibleSpectrum when it is not a finite positive float64.
         """
         try:
-            dtau = 2.0 * math.pi / (self.dim * float(self.omega))
+            dtau = 2.0 * math.pi / (self.dim * (self.omega.numerator / self.omega.denominator))
         except (OverflowError, ZeroDivisionError):
             dtau = 0.0
         if not 0.0 < dtau < math.inf:
@@ -202,18 +210,21 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
     trivial k = 0 would fit, and the residues then cannot cover all classes
     mod N.
     """
-    n = spec.dim
     energies = spec.energies
+    return _decompose(spec.dim, [e.numerator for e in energies], [e.denominator for e in energies])
+
+
+def _decompose(n: int, nums, dens) -> DecompositionResult:
+    """The gate on the energies nums[m]/dens[m], in integers; builds only omega."""
     # over one denominator D, E_m = a_m/D and omega = g/D, so E_m/omega = a_m/g
-    den = math.lcm(*(e.denominator for e in energies))
-    scaled = [e.numerator * (den // e.denominator) for e in energies]
+    den = math.lcm(*dens)
+    scaled = [a * (den // d) for a, d in zip(nums, dens)]
     if all(a == scaled[0] for a in scaled):
         return IncompatibilityCertificate(
             reason=DEGENERATE, detail="all energies equal; no nonzero clock power fits"
         )
 
     g = math.gcd(*scaled)
-    omega = Fraction(g, den)
     ratios = [a // g for a in scaled]
     residues = tuple(r % n for r in ratios)
 
@@ -237,7 +248,7 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
 
     f = tuple((ratios[m] - k * m) // n for m in range(n))
     assert all((ratios[m] - k * m) % n == 0 for m in range(n))
-    return SpectrumDecomposition(dim=n, omega=omega, k=k, f=f)
+    return SpectrumDecomposition(dim=n, omega=Fraction(g, den), k=k, f=f)
 
 
 def rationalize_energies(
@@ -270,8 +281,14 @@ def rationalize_energies(
 def analyze_float_spectrum(
     energies, dim: int, tolerance: float, max_denominator: int
 ) -> DecompositionResult:
-    """rationalize_energies, then the exact gate (decompose_spectrum)."""
+    """rationalize_energies, then the exact gate (decompose_spectrum).
+
+    A NOT_COMMENSURABLE certificate comes first, then the checks a Spectrum
+    would make: DimensionNotOddPrime, then ValueError for a wrong length.
+    """
     fracs = rationalize_energies(energies, tolerance, max_denominator)
     if isinstance(fracs, IncompatibilityCertificate):
         return fracs
-    return decompose_spectrum(Spectrum(dim=dim, energies=fracs))
+    _require_odd_prime(dim)
+    _require_length(dim, fracs)
+    return _decompose(dim, [e.numerator for e in fracs], [e.denominator for e in fracs])

@@ -102,7 +102,7 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
     worst = 0.0
     for m in range(n - s):
         w = exp_from_eig(top.eigensystem, reduced[m + s] - reduced[m])
-        worst = max(worst, float(np.max(np.abs(w - reference))))
+        worst = max(worst, float(np.abs(w - reference).max()))
     return worst
 
 

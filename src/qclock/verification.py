@@ -27,6 +27,7 @@ from .numerics import exchange_phase, exp_from_eig, exp_hermitian, hermitian_eig
 from .phase_space import build_basis, map_operator, unmap_grid, wigner_of_density
 from .schwinger import (
     build_pair,
+    clock_diagonal,
     clock_power,
     commutation_phase,
     measure_commutation_sign,
@@ -89,9 +90,10 @@ def random_density(rng, dim: int) -> np.ndarray:
 def random_compatible_spectrum(rng, dim: int):
     """Seeded spectrum of the clock-compatible form; returns (spectrum, k, f, omega)."""
     k = int(rng.integers(1, dim))
-    f = [int(x) for x in rng.integers(-20, 21, size=dim)]
+    f = rng.integers(-20, 21, size=dim).tolist()
     omega = Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
-    energies = tuple(omega * (k * m + dim * f[m]) for m in range(dim))
+    p, q = omega.numerator, omega.denominator
+    energies = tuple(Fraction(p * (k * m + dim * f[m]), q) for m in range(dim))
     return Spectrum(dim=dim, energies=energies), k, f, omega
 
 
@@ -161,8 +163,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     for _ in range(150):
         q = int(rng.integers(1, 1001))
         p = int(rng.integers(-1000 * q, 1000 * q + 1))
-        want = Fraction(p, q)
-        if rationalize(float(want), 1e-9, 10**6) != want:
+        if rationalize(p / q, 1e-9, 10**6) != Fraction(p, q):
             failures += 1
     checks.append(_upper("rationalize-roundtrip", failures, 0.0))
 
@@ -239,12 +240,14 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         if not isinstance(result, SpectrumDecomposition) or not result.matches(spec):
             id_failures += 1
             continue
-        ratios = [int(e / result.omega) for e in spec.energies]
+        # E_m/omega in integers, from the energies alone (not from k and f)
+        p, q = result.omega.numerator, result.omega.denominator
+        ratios = [e.numerator * q // (e.denominator * p) for e in spec.energies]
         if rational_gcd([r for r in ratios if r != 0]) != 1:
             gcd_failures += 1
-        gap = _max_abs(np.diag(result.tick_phases(1)) - clock_power(pair, -result.k))
+        gap = _max_abs(result.tick_phases(1) - clock_diagonal(pair, -result.k))
         soundness = max(soundness, float(gap))
-        floats = list(spec.as_floats())
+        floats = spec.as_floats().tolist()
         floats[int(rng.integers(0, n))] += np.sqrt(2.0) * 1e-3
         if isinstance(analyze_float_spectrum(floats, n, 1e-9, 10**6), SpectrumDecomposition):
             perturb_failures += 1
@@ -296,7 +299,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     # dynamics
     for label, spec, dec in (("harmonic", harmonic, d_harm), ("skewed", skewed, d_skew)):
         worst = max(
-            _max_abs(np.diag(dec.tick_phases(t)) - clock_power(pair, -(t * dec.k) % n))
+            _max_abs(dec.tick_phases(t) - clock_diagonal(pair, -(t * dec.k) % n))
             for t in range(1, 2 * n + 1)
         )
         checks.append(_upper(f"dynamics-hypothesis-{label}", worst, 1e-10))

@@ -479,6 +479,22 @@ def test_exchange_phase_takes_the_diagonal_operand_as_its_diagonal():
         exchange_phase(np.ones(3), shift_power(pair, 1), 1e-12)
 
 
+@pytest.mark.parametrize(
+    "d, b",
+    [
+        (np.exp(2j * np.pi * np.arange(5) / 5), np.zeros((5, 5), dtype=complex)),
+        (np.zeros(5), np.roll(np.eye(5, dtype=complex), -1, axis=0)),
+        (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), np.roll(np.eye(5, dtype=complex), -1, axis=0)),
+        (np.exp(2j * np.pi * np.arange(5) / 5), np.where(np.eye(5) > 0, np.nan, 0.0) + 0j),
+    ],
+    ids=["zero-b", "zero-d", "nan-in-d", "nan-in-b"],
+)
+def test_exchange_phase_without_a_finite_reading_raises(d, b):
+    # the scalar would be nan + 0j; a NaN defect must not pass the tolerance test
+    with pytest.raises(NotScalarMultiple):
+        exchange_phase(d, b, 1e-12)
+
+
 def test_large_scale_matrix_converges():
     # a matrix with entries around 1e3 must still decompose and reconstruct
     # to an absolute 1e-10

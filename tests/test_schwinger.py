@@ -5,6 +5,7 @@ from qclock import (
     DimensionNotOddPrime,
     IndexOutOfRange,
     build_pair,
+    clock_diagonal,
     clock_power,
     commutation_phase,
     measure_commutation_sign,
@@ -126,6 +127,15 @@ def test_powers_equal_the_closed_forms_bit_for_bit(dim):
     for exponent in range(-2 * dim, 2 * dim + 1):
         assert np.array_equal(clock_power(pair, exponent), closed_form_clock_power(dim, exponent))
         assert np.array_equal(shift_power(pair, exponent), closed_form_shift_power(dim, exponent))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+def test_clock_diagonal_is_the_diagonal_of_clock_power(dim):
+    pair = cached_pair(dim)
+    for exponent in range(-2 * dim, 2 * dim + 1):
+        diagonal = clock_diagonal(pair, exponent)
+        assert diagonal.shape == (dim,)
+        assert diagonal.tobytes() == clock_power(pair, exponent).diagonal().tobytes()
 
 
 def test_fourier_matches_overlap_formula():

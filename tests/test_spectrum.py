@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qclock import (
     DEGENERATE,
+    DimensionNotOddPrime,
     IncompatibilityCertificate,
+    IncompatibleSpectrum,
     NOT_COMMENSURABLE,
     RESIDUES_NOT_LINEAR,
     Spectrum,
@@ -18,6 +20,7 @@ from qclock import (
     decompose_spectrum,
     exp_hermitian,
     rational_gcd,
+    rationalize_energies,
 )
 from qclock.spectrum import reduce_mod_period
 from qclock.verification import random_compatible_spectrum
@@ -375,3 +378,172 @@ def large_decompositions(draw):
 def test_tick_energies_are_the_energies_reduced_mod_the_period(dec):
     want = reduce_mod_period(dec.energies(), dec.omega, dec.dim)
     assert dec.tick_energies.tobytes() == want.tobytes()
+
+
+# --- the float front end and the float reads --------------------------------
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+def fraction_path(energies, dim, tolerance, max_denominator):
+    """The front end spelled out: rationalize, build a Spectrum, run the gate."""
+    fracs = rationalize_energies(energies, tolerance, max_denominator)
+    if isinstance(fracs, IncompatibilityCertificate):
+        return fracs
+    return decompose_spectrum(Spectrum(dim, fracs))
+
+
+def assert_same_outcome(got, want):
+    """Same type and every field equal: a certificate's reason, residues, first_bad_index
+    and detail, a decomposition's dim, omega (a Fraction on both sides), k and f, or
+    the raised exception's type and message."""
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(want, SpectrumDecomposition):
+        assert type(got.omega) is type(want.omega) is Fraction
+
+
+FRONT_END_ENTRIES = st.one_of(
+    st.integers(-10**6, 10**6),
+    RATIONALS,
+    RATIONALS.map(lambda r: f"{r.numerator}/{r.denominator}"),
+    RATIONALS.map(float),
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([math.pi, math.sqrt(2.0), 0.1, 1e-300, 2.0**60 + 2.0**8]),
+)
+FRONT_END_DIMS = st.sampled_from([1, 2, 3, 4, 5, 7, 9, 11, 15])
+
+
+@st.composite
+def front_end_inputs(draw):
+    """Mixed entries at prime and non-prime dims, right and wrong lengths, some degenerate."""
+    dim = draw(FRONT_END_DIMS)
+    length = draw(st.sampled_from([dim, dim, dim - 1, dim + 1, 0]))
+    if draw(st.booleans()):
+        energies = [draw(FRONT_END_ENTRIES)] * max(length, 0)
+    else:
+        energies = draw(st.lists(FRONT_END_ENTRIES, min_size=max(length, 0), max_size=max(length, 0)))
+    tolerance = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 0.5]))
+    max_denominator = draw(st.sampled_from([1, 12, 1000, 10**6]))
+    return energies, dim, tolerance, max_denominator
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(front_end_inputs())
+@example(([0.0, 3.141592653589793, 1.0], 9, 1e-12, 1000))  # not commensurable, dim 9, length 3
+@example(([0.0, 3.141592653589793], 5, 1e-12, 1000))  # not commensurable, length 2
+@example(([0, 1, 2], 9, 1e-9, 10**6))  # dim 9 and length 3
+@example(([0, 1], 5, 1e-9, 10**6))  # length only
+@example(([0.5] * 5, 5, 1e-9, 10**6))  # degenerate
+@example(([0, "1/3", 0.6666666666666666, Fraction(1), 1.3333333333333333], 5, 1e-9, 10**6))
+def test_front_end_equals_the_fraction_path(case):
+    assert_same_outcome(outcome(analyze_float_spectrum, *case), outcome(fraction_path, *case))
+
+
+def test_front_end_reports_non_commensurable_before_the_shape():
+    cert = analyze_float_spectrum([0.0, 3.141592653589793, 1.0], 9, 1e-12, 1000)
+    assert isinstance(cert, IncompatibilityCertificate)
+    assert cert.reason == NOT_COMMENSURABLE and cert.first_bad_index == 1
+    with pytest.raises(DimensionNotOddPrime):
+        analyze_float_spectrum([0.0, 1.0, 2.0], 9, 1e-12, 1000)
+    with pytest.raises(ValueError, match="expected 5 energies, got 3"):
+        analyze_float_spectrum([0.0, 1.0, 2.0], 5, 1e-12, 1000)
+
+
+EXACT_ENERGIES = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.fractions(),
+    st.builds(
+        lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+        st.integers(-(10**30), 10**30),
+        st.integers(1, 10**30),
+        st.integers(-340, 270),
+    ),
+)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(EXACT_ENERGIES, min_size=5, max_size=5))
+def test_as_floats_is_float_of_each_energy(energies):
+    spec = Spectrum(5, tuple(energies))
+    want = np.array([float(e) for e in spec.energies])
+    assert spec.as_floats().tobytes() == want.tobytes()
+
+
+def test_as_floats_names_the_energy_beyond_float64():
+    with pytest.raises(OverflowError, match="^energy 2 is beyond the float64 range$"):
+        Spectrum(3, (0, 1, 10**400)).as_floats()
+    with pytest.raises(OverflowError, match="^energy 0 is beyond the float64 range$"):
+        Spectrum(3, (Fraction(-(10**400), 3), 1, 2)).as_floats()
+
+
+def reference_delta_tau(dec):
+    """2*pi/(N*float(omega)), or None where delta_tau must raise."""
+    try:
+        dtau = 2.0 * math.pi / (dec.dim * float(dec.omega))
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return dtau if 0.0 < dtau < math.inf else None
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from([3, 5, 31]),
+    st.integers(1, 10**30),
+    st.integers(1, 10**30),
+    st.integers(-420, 420),
+)
+def test_delta_tau_is_two_pi_over_n_float_omega(n, p, q, e):
+    dec = SpectrumDecomposition(dim=n, omega=Fraction(p, q) * Fraction(10) ** e, k=1, f=(0,) * n)
+    assert outcome(lambda: dec.delta_tau) == (
+        reference_delta_tau(dec)
+        or (IncompatibleSpectrum, "the tick 2*pi/(N*omega) is not a finite positive float64")
+    )
+
+
+def count_spectra(monkeypatch):
+    """A list that gets one entry per Spectrum built from now on."""
+    built = []
+    original = Spectrum.__post_init__
+
+    def counting(self):
+        built.append(self.dim)
+        original(self)
+
+    monkeypatch.setattr(Spectrum, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "floats, verdict",
+    [
+        ([0.0, 7.0, 24.0, 51.0, 88.0 + np.sqrt(2.0) * 1e-3], IncompatibilityCertificate),
+        ([0.5, 0.5, 0.5, 0.5, 0.5], IncompatibilityCertificate),
+        ([0.0, 0.5, 1.0, 1.5, 2.0], SpectrumDecomposition),
+    ],
+    ids=["perturbed", "degenerate", "compatible"],
+)
+def test_front_end_builds_one_fraction_per_float_and_no_spectrum(monkeypatch, floats, verdict):
+    fractions = count_fraction_constructions(monkeypatch)
+    spectra = count_spectra(monkeypatch)
+    result = analyze_float_spectrum(floats, 5, 1e-9, 10**6)
+    monkeypatch.undo()
+    assert isinstance(result, verdict)
+    assert spectra == []
+    # the five rationalized floats, and omega only when the gate succeeds
+    assert len(fractions) == 5 + (verdict is SpectrumDecomposition)
+
+
+def test_gate_builds_omega_only_on_success(monkeypatch):
+    compatible, broken = Spectrum(5, (0, 7, 24, 51, 88)), Spectrum(5, (0, 7, 24, 51, 89))
+    built = count_fraction_constructions(monkeypatch)
+    assert isinstance(decompose_spectrum(compatible), SpectrumDecomposition)
+    assert len(built) == 1
+    assert isinstance(decompose_spectrum(broken), IncompatibilityCertificate)
+    assert len(built) == 1
