@@ -86,12 +86,13 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
     Raises NotHermitian when max|a - a^dag| exceeds 1e-12, NoConvergence when
     LAPACK reports that the decomposition did not converge.
     """
-    arr = _as_square_complex(a)
-    defect = hermiticity_defect(arr)
+    defect = hermiticity_defect(a)  # also checks the shape and finiteness
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"max |A - A^dag| = {defect:.3e} exceeds {HERMITICITY_TOL}")
 
-    work = 0.5 * (arr + arr.conj().T)  # exact Hermitian symmetrization
+    work = np.asarray(a, dtype=np.complex128)
+    if defect:  # exact Hermitian symmetrization, skipped when a is exactly Hermitian
+        work = 0.5 * (work + work.conj().T)
     try:
         if not vectors:
             values = np.linalg.eigvalsh(work)
@@ -103,13 +104,16 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
 
     scale = max(1.0, float(np.abs(work).max()) if work.size else 0.0)
     pivots = _pivots(vecs)
-    vecs *= np.conj(pivots) / np.hypot(pivots.real, pivots.imag)  # |pivot| as abs() rounds it
+    # |pivot| as abs() rounds it; Fortran order, the layout of a column gather
+    vecs = np.multiply(vecs, np.conj(pivots) / np.hypot(pivots.real, pivots.imag), order="F")
 
     # deterministic order inside degenerate clusters: a stable sort by
     # cluster label, then by the gauge-fixed pivot's real part
-    cluster = np.cumsum(np.diff(values, prepend=values[:1]) > _CLUSTER_TOL * scale)
-    order = np.lexsort((_pivots(vecs).real, cluster))
-    values, vecs = values[order], vecs[:, order]
+    splits = values[1:] - values[:-1] > _CLUSTER_TOL * scale
+    if not splits.all():
+        cluster = np.concatenate(([0], np.cumsum(splits)))
+        order = np.lexsort((_pivots(vecs).real, cluster))
+        values, vecs = values[order], vecs[:, order]
 
     values.setflags(write=False)
     vecs.setflags(write=False)
@@ -141,13 +145,15 @@ def exchange_phase(d, b, tol: float) -> complex:
     d = np.asarray(d)
     if d.ndim != 1 or d.shape[0] != b.shape[0]:
         raise DimensionMismatch(f"diagonal operand of shape {d.shape} does not fit {b.shape}")
-    lhs, rhs = d[:, None] * b, b * d
-    idx = int(np.argmax(np.abs(rhs)))  # a NaN or inf anywhere in d or b lands in rhs and wins
-    pivot = rhs.flat[idx]
-    if pivot == 0 or not np.isfinite(pivot):
-        raise NotScalarMultiple(f"b @ diag(d) has no finite nonzero entry to read a phase at (largest {pivot})")
-    c = complex(lhs.flat[idx] / pivot)
-    defect = float(np.abs(lhs - c * rhs).max())
+    # inf * 0 and overflow make NaN and inf silently; the checks below reject both
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs, rhs = d[:, None] * b, b * d
+        idx = int(np.argmax(np.abs(rhs)))  # a NaN or inf anywhere in d or b lands in rhs and wins
+        pivot = rhs.flat[idx]
+        if pivot == 0 or not np.isfinite(pivot):
+            raise NotScalarMultiple(f"b @ diag(d) has no finite nonzero entry to read a phase at (largest {pivot})")
+        c = complex(lhs.flat[idx] / pivot)
+        defect = float(np.abs(lhs - c * rhs).max())
     if not defect <= tol:
         raise NotScalarMultiple(f"diag(d) @ b is not a scalar multiple of b @ diag(d) (defect {defect:.3e})")
     return c
@@ -167,7 +173,9 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
         raise ValueError("tolerance must be positive")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
-    if not isinstance(x, (int, Fraction)) and not math.isfinite(x):  # exact values need no float
+    # exact values need no finiteness check; floats are tested first, as the
+    # Fraction test is an ABC check
+    if (isinstance(x, float) or not isinstance(x, (int, Fraction))) and not math.isfinite(x):
         raise ValueError("x must be finite")
 
     # |p/q - a/b| <= c/d  <=>  |p*b - a*q| * d <= c * b * q, as all of q, b, d > 0,

@@ -104,30 +104,38 @@ def _basis_tensor(pair: SchwingerPair) -> np.ndarray:
 
 
 def _require_dim(basis: OperatorBasis, arr: np.ndarray, what: str) -> np.ndarray:
+    """arr as complex128 of shape (..., N, N)."""
     arr = np.asarray(arr, dtype=np.complex128)
-    if arr.shape != (basis.dim, basis.dim):
+    if arr.shape[-2:] != (basis.dim, basis.dim):
         raise DimensionMismatch(
-            f"{what} has shape {arr.shape}, expected ({basis.dim}, {basis.dim})"
+            f"{what} has shape {arr.shape}, expected (..., {basis.dim}, {basis.dim})"
         )
     return arr
 
 
 def map_operator(basis: OperatorBasis, op) -> np.ndarray:
-    """Lattice representative of an operator: grid[m, n] = Tr[B(m, n)^dag op]."""
+    """Lattice representative of an operator: grid[m, n] = Tr[B(m, n)^dag op].
+
+    A stack of shape (..., N, N) maps matrix by matrix, bit for bit as one
+    matrix at a time.
+    """
     op = _require_dim(basis, op, "operator")
     # chars[a, b] = Tr[(clock^sym[a] shift^sym[b])^dag op]
-    chars = basis.diag_dft @ op[basis.rows, basis.cols]
+    chars = basis.diag_dft @ op[..., basis.rows, basis.cols]
     f = basis.lattice_dft
     return f @ (basis.half_phase * chars) @ f.T / basis.dim
 
 
 def unmap_grid(basis: OperatorBasis, grid) -> np.ndarray:
-    """Operator with the given lattice representative: (1/N) sum grid[m, n] B(m, n)."""
+    """Operator with the given lattice representative: (1/N) sum grid[m, n] B(m, n).
+
+    Takes (..., N, N) stacks as map_operator does.
+    """
     grid = _require_dim(basis, grid, "grid")
     f = basis.lattice_dft
     chars = basis.half_phase.conj() * (f.conj().T @ grid @ f.conj())
     op = np.empty_like(grid)
-    op[basis.rows, basis.cols] = basis.diag_dft.conj().T @ chars / basis.dim**2
+    op[..., basis.rows, basis.cols] = basis.diag_dft.conj().T @ chars / basis.dim**2
     return op
 
 

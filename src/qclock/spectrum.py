@@ -87,7 +87,7 @@ class Spectrum:
 
 def _phase_vector(energies: np.ndarray, t: float) -> np.ndarray:
     """exp(-i*E*t) for float64 energies; every diagonal propagator comes from here."""
-    return np.exp(-1j * energies * float(t))
+    return np.exp(energies * (-1j * float(t)))
 
 
 def _over_common_denominator(values, unit: Fraction):
@@ -263,7 +263,7 @@ def rationalize_energies(
     """
     fracs = []
     for i, x in enumerate(energies):
-        if isinstance(x, (int, Fraction, str)):
+        if not isinstance(x, float) and isinstance(x, (int, Fraction, str)):  # floats skip the ABC check
             fracs.append(Fraction(x))
             continue
         try:

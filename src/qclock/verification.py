@@ -10,6 +10,7 @@ direction, and the propagator/time-operator exchange sign.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,14 +88,44 @@ def random_density(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+# the suite's perturbation of one float energy; a float, as rationalize takes
+# floats faster than numpy scalars
+_PERTURBATION = math.sqrt(2.0) * 1e-3
+
+
+def _compatible_spectrum(dim: int, k: int, f, num: int, den: int):
+    """The spectrum omega*(k*m + dim*f[m]) with omega = num/den; returns (spectrum, omega)."""
+    omega = Fraction(num, den)
+    p, q = omega.numerator, omega.denominator
+    energies = tuple(Fraction(p * (k * m + dim * f[m]), q) for m in range(dim))
+    return Spectrum(dim=dim, energies=energies), omega
+
+
 def random_compatible_spectrum(rng, dim: int):
     """Seeded spectrum of the clock-compatible form; returns (spectrum, k, f, omega)."""
     k = int(rng.integers(1, dim))
     f = rng.integers(-20, 21, size=dim).tolist()
-    omega = Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
-    p, q = omega.numerator, omega.denominator
-    energies = tuple(Fraction(p * (k * m + dim * f[m]), q) for m in range(dim))
-    return Spectrum(dim=dim, energies=energies), k, f, omega
+    num, den = int(rng.integers(1, 13)), int(rng.integers(1, 13))
+    spec, omega = _compatible_spectrum(dim, k, f, num, den)
+    return spec, k, f, omega
+
+
+def _gate_trials(rng, dim: int, trials: int) -> list:
+    """(spectrum, index to perturb) per trial, all drawn in one call.
+
+    The stream is that of `trials` rounds of random_compatible_spectrum(rng, dim)
+    then rng.integers(0, dim): bounded integer draws take the same bits from
+    the generator whether they come one per call or many per call.
+    """
+    width = dim + 4
+    lo = [1] + [-20] * dim + [1, 1, 0]
+    hi = [dim] + [21] * dim + [13, 13, dim]
+    draws = rng.integers(lo * trials, hi * trials).tolist()
+    out = []
+    for t in range(0, trials * width, width):
+        k, *f, num, den, index = draws[t : t + width]
+        out.append((_compatible_spectrum(dim, k, f, num, den)[0], index))
+    return out
 
 
 def harmonic_spectrum(dim: int) -> Spectrum:
@@ -163,7 +194,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     for _ in range(150):
         q = int(rng.integers(1, 1001))
         p = int(rng.integers(-1000 * q, 1000 * q + 1))
-        if rationalize(p / q, 1e-9, 10**6) != Fraction(p, q):
+        r, g = rationalize(p / q, 1e-9, 10**6), math.gcd(p, q)  # p/q in lowest terms: p//g, q//g
+        if r.numerator != p // g or r.denominator != q // g:
             failures += 1
     checks.append(_upper("rationalize-roundtrip", failures, 0.0))
 
@@ -180,11 +212,9 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     )
     checks.append(_upper("schwinger-cyclic-inverse", worst, 1e-12))
     eye = np.eye(n)
-    worst = max(
-        _max_abs(shift_power(pair, s) @ eye[:, m] - eye[:, (m - s) % n])
-        for s in range(n)
-        for m in range(n)
-    )
+    labels = np.arange(n)
+    # column m of shift^s, i.e. shift^s @ e_m, is e_{m-s}
+    worst = max(_max_abs(shift_power(pair, s) - eye[:, (labels - s) % n]) for s in range(n))
     checks.append(_upper("schwinger-shift-action", worst, 0.0))
     unitarity = _max_abs(pair.fourier @ pair.fourier.conj().T - eye)
     checks.append(_upper("schwinger-fourier-unitary", unitarity, 1e-12))
@@ -202,11 +232,9 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     checks.append(_upper("basis-hermiticity", _max_abs(g - np.conj(np.transpose(g, (0, 1, 3, 2)))), 1e-10))
     checks.append(_upper("basis-trace", _max_abs(np.einsum("mnrr->mn", g) - 1.0), 1e-12))
     checks.append(_upper("basis-sum-identity", _max_abs(g.sum(axis=(0, 1)) - n * eye), 1e-10))
-    worst = 0.0
-    for _ in range(50):
-        op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        worst = max(worst, _max_abs(unmap_grid(basis, map_operator(basis, op)) - op))
-    checks.append(_upper("basis-roundtrip", worst, 1e-10))
+    draws = rng.normal(size=(50, 2, n, n))  # 50 operators, each a real and an imaginary part
+    ops = draws[:, 0] + 1j * draws[:, 1]
+    checks.append(_upper("basis-roundtrip", _max_abs(unmap_grid(basis, map_operator(basis, ops)) - ops), 1e-10))
     op_a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     op_b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     ca, cb = complex(0.7, -0.3), complex(-1.1, 0.4)
@@ -234,8 +262,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     id_failures = 0
     gcd_failures = 0
     perturb_failures = 0
-    for _ in range(100):
-        spec, _, _, _ = random_compatible_spectrum(rng, n)
+    for spec, index in _gate_trials(rng, n, 100):
         result = decompose_spectrum(spec)
         if not isinstance(result, SpectrumDecomposition) or not result.matches(spec):
             id_failures += 1
@@ -248,7 +275,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         gap = _max_abs(result.tick_phases(1) - clock_diagonal(pair, -result.k))
         soundness = max(soundness, float(gap))
         floats = spec.as_floats().tolist()
-        floats[int(rng.integers(0, n))] += np.sqrt(2.0) * 1e-3
+        floats[index] += _PERTURBATION
         if isinstance(analyze_float_spectrum(floats, n, 1e-9, 10**6), SpectrumDecomposition):
             perturb_failures += 1
     checks.append(_upper("spectrum-soundness", soundness, 1e-10))

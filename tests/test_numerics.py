@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -139,6 +140,77 @@ def test_gauge_and_cluster_order_equal_the_loops_bit_for_bit(dim):
         values, vecs = loop_hermitian_eig(a)
         assert es.values.tobytes() == values.tobytes()
         assert es.vectors.tobytes() == vecs.tobytes()
+
+
+def reference_pivots(vecs):
+    if not vecs.size:
+        return vecs.diagonal()
+    mags = np.abs(vecs)
+    sizable = mags > 1e-8
+    rows = np.where(sizable.any(axis=0), sizable.argmax(axis=0), mags.argmax(axis=0))
+    return vecs[rows, np.arange(vecs.shape[1])]
+
+
+def reference_hermitian_eig(a, vectors=True):
+    """hermitian_eig before its trims: it always symmetrizes, reads the pivots twice and sorts."""
+    arr = np.asarray(a, dtype=np.complex128)
+    work = 0.5 * (arr + arr.conj().T)
+    if not vectors:
+        return np.linalg.eigvalsh(work), None
+    values, vecs = np.linalg.eigh(work)
+    scale = max(1.0, float(np.abs(work).max()) if work.size else 0.0)
+    pivots = reference_pivots(vecs)
+    vecs *= np.conj(pivots) / np.hypot(pivots.real, pivots.imag)
+    cluster = np.cumsum(np.diff(values, prepend=values[:1]) > 1e-10 * scale)
+    order = np.lexsort((reference_pivots(vecs).real, cluster))
+    return values[order], vecs[:, order]
+
+
+def random_unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+@st.composite
+def eigen_inputs(draw):
+    """Random, exactly degenerate, near-threshold-gap and slightly non-Hermitian matrices."""
+    kind = draw(st.sampled_from(["random", "identity", "blocks", "gap", "defect"]))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "identity":
+        return draw(st.sampled_from([1.0, -2.5, 1e3])) * np.eye(n, dtype=complex)
+    if kind == "blocks":  # one Hermitian block repeated down the diagonal
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return np.kron(np.eye(draw(st.integers(2, 3))), z + z.conj().T)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = draw(st.sampled_from([1.0, 1e-3, 1e3])) * (a + a.conj().T)
+    if kind == "defect":  # non-Hermitian by less than the 1e-12 the wrapper admits
+        return a + draw(st.sampled_from([1e-15, 1e-13, 3e-13])) * rng.uniform(-1.0, 1.0, size=(n, n))
+    if kind == "gap":  # two levels apart by just under or just over the cluster gap
+        levels = np.append(np.sort(rng.normal(size=n)), draw(st.sampled_from([0.5, 2.0, 700.0])))
+        factor = draw(st.sampled_from([0.999, 0.9999, 1.0001, 1.001]))
+        q = random_unitary(rng, n + 2) if draw(st.booleans()) else np.eye(n + 2)
+
+        def with_gap(gap):
+            return (q * np.append(levels, levels[-1] + gap)) @ q.conj().T
+
+        # the gap scales with max |a|, which the gap itself moves by far less than factor - 1
+        return with_gap(1e-10 * factor * max(1.0, np.abs(with_gap(0.0)).max()))
+    return a
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(eigen_inputs())
+def test_hermitian_eig_equals_the_reference_bit_for_bit(a):
+    es = hermitian_eig(a)
+    values, vecs = reference_hermitian_eig(a)
+    assert es.values.tobytes() == values.tobytes()
+    assert es.vectors.tobytes() == vecs.tobytes()
+    assert es.vectors.strides == vecs.strides
+    assert es.vectors.flags.f_contiguous == vecs.flags.f_contiguous
+    assert es.vectors.flags.c_contiguous == vecs.flags.c_contiguous
+    only = hermitian_eig(a, vectors=False)
+    assert only.values.tobytes() == reference_hermitian_eig(a, vectors=False)[0].tobytes()
 
 
 def test_lapack_failure_is_no_convergence(monkeypatch):
@@ -493,6 +565,23 @@ def test_exchange_phase_without_a_finite_reading_raises(d, b):
     # the scalar would be nan + 0j; a NaN defect must not pass the tolerance test
     with pytest.raises(NotScalarMultiple):
         exchange_phase(d, b, 1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, b",
+    [
+        (np.array([1.0, np.inf, 1.0]), np.roll(np.eye(3, dtype=complex), -1, axis=0)),
+        (np.ones(3), np.roll(np.eye(3, dtype=complex), -1, axis=0) + np.diag([0, 0, np.inf])),
+        (np.full(3, 1e200), np.full((3, 3), 1e200, dtype=complex)),
+        (np.array([1e200, 1.0]), np.array([[1.0, 1e200], [1.0, 1.0]], dtype=complex)),
+    ],
+    ids=["inf-in-d", "inf-in-b", "overflow", "overflow-in-d-at-b"],
+)
+def test_exchange_phase_raises_without_a_warning_on_inf_or_overflow(d, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotScalarMultiple):
+            exchange_phase(d, b, 1e-12)
 
 
 def test_large_scale_matrix_converges():

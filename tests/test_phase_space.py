@@ -119,6 +119,33 @@ def test_dimension_mismatch(basis5):
         unmap_grid(basis5, np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+@pytest.mark.parametrize("stack", [(6,), (2, 3)])
+def test_stacked_maps_equal_the_per_matrix_maps_bit_for_bit(dim, stack):
+    basis = cached_basis(dim)
+    rng = np.random.default_rng(dim + len(stack))
+    ops = rng.normal(size=stack + (dim, dim)) + 1j * rng.normal(size=stack + (dim, dim))
+    for fn in (map_operator, unmap_grid):
+        stacked = fn(basis, ops)
+        assert stacked.shape == ops.shape
+        one_by_one = np.array([fn(basis, op) for op in ops.reshape(-1, dim, dim)])
+        assert stacked.tobytes() == one_by_one.tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+def test_stacked_maps_reject_wrong_trailing_shapes(dim):
+    basis = cached_basis(dim)
+    for shape in ((dim,), (dim, dim + 1), (2, dim, dim + 1)):
+        for fn in (map_operator, unmap_grid):
+            with pytest.raises(DimensionMismatch):
+                fn(basis, np.ones(shape, dtype=complex))
+
+
+def test_wigner_of_density_stays_two_dimensional(basis5):
+    with pytest.raises(DimensionMismatch):
+        wigner_of_density(basis5, np.broadcast_to(np.eye(5) / 5, (2, 5, 5)))
+
+
 def test_wigner_of_shift_eigenstate_is_one_column(basis5, pair5):
     vec = shift_eigenvector(pair5, 1)
     grid = wigner_of_density(basis5, np.outer(vec, vec.conj()))

@@ -85,3 +85,20 @@ def test_suite_runs_exactly_the_pinned_checks():
 def test_perturbation_check_fails_for_most_but_not_all_dimensions():
     assert run_suite(23).passed
     assert {chk.name for chk in run_suite(7).checks if not chk.passed} == {"spectrum-perturbation-reject"}
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+@pytest.mark.parametrize("seed", [0, 42, 1093])
+def test_gate_trials_draw_the_stream_of_sequential_spectra(dim, seed):
+    # a numpy change to how bounded integers take bits from the generator fails here
+    batched = np.random.default_rng(seed)
+    sequential = np.random.default_rng(seed)
+    trials = verification._gate_trials(batched, dim, 100)
+    assert len(trials) == 100
+    for spec, index in trials:
+        expected, _, _, _ = verification.random_compatible_spectrum(sequential, dim)
+        assert spec == expected
+        assert index == int(sequential.integers(0, dim))
+    # a small range reads the generator's buffered 32-bit half, a normal whole words
+    assert batched.integers(0, 1000, size=3).tolist() == sequential.integers(0, 1000, size=3).tolist()
+    assert batched.normal() == sequential.normal()
