@@ -167,10 +167,16 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
     check is exact (x is converted to its binary rational value), so a float
     that was produced from a modest fraction is recovered verbatim.
 
-    Raises NoRationalWithinTolerance when no admissible convergent exists.
+    Raises NoRationalWithinTolerance when no admissible convergent exists,
+    ValueError for a tolerance that is not positive and finite.
     """
-    if tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+    return Fraction(*_convergent(x, tolerance, max_denominator))
+
+
+def _convergent(x: float, tolerance: float, max_denominator: int) -> tuple:
+    """rationalize's convergent as the integer pair (p, q): coprime, q > 0."""
+    if not 0.0 < tolerance < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
     # exact values need no finiteness check; floats are tested first, as the
@@ -194,7 +200,7 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
             break
         # rem == 0 makes p_cur/q_cur == a/b, which passes: the loop ends
         if rem * d <= cb * q_cur:
-            return Fraction(p_cur, q_cur)
+            return p_cur, q_cur  # consecutive convergents: coprime, q_cur >= 1
         p_prev, p_prev2 = p_cur, p_prev
         q_prev, q_prev2 = q_cur, q_prev
         num, den = den, rem

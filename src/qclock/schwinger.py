@@ -54,7 +54,8 @@ def clock_diagonal(pair: SchwingerPair, exponent: int) -> np.ndarray:
     """The diagonal of clock**exponent, any integer exponent, reduced mod N.
 
     Entry l is the pair's own clock phase at (exponent*l) mod N, read from its
-    table, so negative powers are as accurate as positive ones.
+    table, so negative powers are as accurate as positive ones.  An integer
+    array of exponents of shape (r, 1) gives the r diagonals as rows.
     """
     e = exponent % pair.dim
     labels = np.arange(pair.dim)

@@ -40,7 +40,7 @@ from .errors import (
     IncompatibleSpectrum,
     NoRationalWithinTolerance,
 )
-from .numerics import is_odd_prime, rationalize
+from .numerics import _convergent, is_odd_prime
 
 NOT_COMMENSURABLE = "NotCommensurable"
 DEGENERATE = "DegenerateSpectrum"
@@ -66,9 +66,18 @@ class Spectrum:
 
     def __post_init__(self):
         _require_odd_prime(self.dim)
-        energies = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in self.energies)
+        # a tuple of Fractions of Python ints, the common case, is kept without a copy
+        energies = tuple(self.energies)
+        for e in energies:
+            if type(e) is Fraction:
+                p, q = e.as_integer_ratio()  # one call, where .numerator and .denominator make two
+                if type(p) is int and type(q) is int:
+                    continue
+            energies = tuple(map(_exact_fraction, energies))
+            break
         _require_length(self.dim, energies)
-        object.__setattr__(self, "energies", energies)
+        if energies is not self.energies:
+            object.__setattr__(self, "energies", energies)
 
     def as_floats(self) -> np.ndarray:
         """The energies in float64; OverflowError names the first that does not fit."""
@@ -83,6 +92,16 @@ class Spectrum:
     def phases(self, t: float) -> np.ndarray:
         """exp(-i*E_m*t) at any t: the diagonal of exp(-i*H*t) for H = diag(E)."""
         return _phase_vector(self.as_floats(), t)
+
+
+def _exact_fraction(x) -> Fraction:
+    """x as a Fraction of Python ints: numpy integer parts would wrap around in the gate."""
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    p, q = x.as_integer_ratio()
+    if type(p) is not int or type(q) is not int:
+        x = Fraction(int(p), int(q))
+    return x
 
 
 def _phase_vector(energies: np.ndarray, t: float) -> np.ndarray:
@@ -219,7 +238,7 @@ def _decompose(n: int, nums, dens) -> DecompositionResult:
     # over one denominator D, E_m = a_m/D and omega = g/D, so E_m/omega = a_m/g
     den = math.lcm(*dens)
     scaled = [a * (den // d) for a, d in zip(nums, dens)]
-    if all(a == scaled[0] for a in scaled):
+    if scaled.count(scaled[0]) == len(scaled):
         return IncompatibilityCertificate(
             reason=DEGENERATE, detail="all energies equal; no nonzero clock power fits"
         )
@@ -227,47 +246,47 @@ def _decompose(n: int, nums, dens) -> DecompositionResult:
     g = math.gcd(*scaled)
     ratios = [a // g for a in scaled]
     residues = tuple(r % n for r in ratios)
-
-    def certificate(first_bad):
-        return IncompatibilityCertificate(
-            reason=RESIDUES_NOT_LINEAR,
-            residues=residues,
-            first_bad_index=first_bad,
-            detail=f"residues {list(residues)} are not k*m (mod {n}) for any k; "
-            f"first obstruction at m={first_bad}",
-        )
-
     if residues[0] != 0:
-        return certificate(0)
+        return _not_linear(n, residues, 0)
     k = residues[1]
     if k == 0:
-        return certificate(1)
+        return _not_linear(n, residues, 1)
     for m in range(2, n):
         if residues[m] != (k * m) % n:
-            return certificate(m)
+            return _not_linear(n, residues, m)
 
     f = tuple((ratios[m] - k * m) // n for m in range(n))
     assert all((ratios[m] - k * m) % n == 0 for m in range(n))
     return SpectrumDecomposition(dim=n, omega=Fraction(g, den), k=k, f=f)
 
 
-def rationalize_energies(
-    energies, tolerance: float, max_denominator: int
-) -> Union[tuple, IncompatibilityCertificate]:
-    """The spectrum front end: exact entries stay exact, floats are rationalized.
+def _not_linear(n: int, residues: tuple, first_bad: int) -> IncompatibilityCertificate:
+    return IncompatibilityCertificate(
+        reason=RESIDUES_NOT_LINEAR,
+        residues=residues,
+        first_bad_index=first_bad,
+        detail=f"residues {list(residues)} are not k*m (mod {n}) for any k; "
+        f"first obstruction at m={first_bad}",
+    )
 
-    Ints, Fractions and "p/q" strings become Fractions unchanged; any other
-    entry goes through rationalize(float(x), ...).  Returns the tuple of
-    Fractions, or a NOT_COMMENSURABLE certificate at the first float with no
-    admissible rational approximation.
+
+def _rational_pairs(
+    energies, tolerance: float, max_denominator: int
+) -> Union[list, IncompatibilityCertificate]:
+    """Each energy as (p, q) in Python ints, coprime with q > 0, or a NOT_COMMENSURABLE certificate.
+
+    Ints, numpy integers, Fractions and "p/q" strings are exact: their own
+    value.  Any other entry is float(x), rationalized as rationalize does.
+    The certificate names the first float with no admissible approximation.
     """
-    fracs = []
+    pairs = []
     for i, x in enumerate(energies):
-        if not isinstance(x, float) and isinstance(x, (int, Fraction, str)):  # floats skip the ABC check
-            fracs.append(Fraction(x))
+        # floats skip the ABC check
+        if not isinstance(x, float) and isinstance(x, (int, Fraction, str, np.integer)):
+            pairs.append(_exact_fraction(x).as_integer_ratio())
             continue
         try:
-            fracs.append(rationalize(float(x), tolerance, max_denominator))
+            pairs.append(_convergent(float(x), tolerance, max_denominator))
         except NoRationalWithinTolerance:
             return IncompatibilityCertificate(
                 reason=NOT_COMMENSURABLE,
@@ -275,7 +294,23 @@ def rationalize_energies(
                 detail=f"energy {i} ({float(x)!r}) has no rational approximation "
                 f"within {tolerance} at denominators <= {max_denominator}",
             )
-    return tuple(fracs)
+    return pairs
+
+
+def rationalize_energies(
+    energies, tolerance: float, max_denominator: int
+) -> Union[tuple, IncompatibilityCertificate]:
+    """The spectrum front end: exact entries stay exact, floats are rationalized.
+
+    Ints, numpy integers, Fractions and "p/q" strings become Fractions
+    unchanged; any other entry goes through rationalize(float(x), ...).
+    Returns the tuple of Fractions, or a NOT_COMMENSURABLE certificate at the
+    first float with no admissible rational approximation.
+    """
+    pairs = _rational_pairs(energies, tolerance, max_denominator)
+    if isinstance(pairs, IncompatibilityCertificate):
+        return pairs
+    return tuple(Fraction(p, q) for p, q in pairs)
 
 
 def analyze_float_spectrum(
@@ -285,10 +320,13 @@ def analyze_float_spectrum(
 
     A NOT_COMMENSURABLE certificate comes first, then the checks a Spectrum
     would make: DimensionNotOddPrime, then ValueError for a wrong length.
+    The convergents reach the gate as integer pairs; no Fraction is built
+    per energy.
     """
-    fracs = rationalize_energies(energies, tolerance, max_denominator)
-    if isinstance(fracs, IncompatibilityCertificate):
-        return fracs
+    pairs = _rational_pairs(energies, tolerance, max_denominator)
+    if isinstance(pairs, IncompatibilityCertificate):
+        return pairs
     _require_odd_prime(dim)
-    _require_length(dim, fracs)
-    return _decompose(dim, [e.numerator for e in fracs], [e.denominator for e in fracs])
+    _require_length(dim, pairs)
+    nums, dens = zip(*pairs)
+    return _decompose(dim, nums, dens)

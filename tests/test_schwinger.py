@@ -132,10 +132,14 @@ def test_powers_equal_the_closed_forms_bit_for_bit(dim):
 @pytest.mark.parametrize("dim", [3, 5, 7, 31])
 def test_clock_diagonal_is_the_diagonal_of_clock_power(dim):
     pair = cached_pair(dim)
-    for exponent in range(-2 * dim, 2 * dim + 1):
+    exponents = np.arange(-2 * dim, 2 * dim + 1)
+    stacked = clock_diagonal(pair, exponents[:, None])  # one row per exponent
+    assert stacked.shape == (exponents.size, dim)
+    for exponent, row in zip(exponents.tolist(), stacked):
         diagonal = clock_diagonal(pair, exponent)
         assert diagonal.shape == (dim,)
         assert diagonal.tobytes() == clock_power(pair, exponent).diagonal().tobytes()
+        assert row.tobytes() == diagonal.tobytes()
 
 
 def test_fourier_matches_overlap_formula():

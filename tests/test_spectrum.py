@@ -20,6 +20,7 @@ from qclock import (
     decompose_spectrum,
     exp_hermitian,
     rational_gcd,
+    rationalize,
     rationalize_energies,
 )
 from qclock.spectrum import reduce_mod_period
@@ -456,6 +457,67 @@ def test_front_end_reports_non_commensurable_before_the_shape():
         analyze_float_spectrum([0.0, 1.0, 2.0], 5, 1e-12, 1000)
 
 
+@pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_tolerance_is_a_value_error_at_every_entry_point(tolerance):
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
+        rationalize(0.3, tolerance, 10)
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
+        rationalize_energies([0, 0.3], tolerance, 10)
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
+        analyze_float_spectrum([0, 0.3, 0.6], 3, tolerance, 10)
+
+
+def test_numpy_integers_are_exact_in_the_gate():
+    cert = decompose_spectrum(Spectrum(3, (Fraction(0), Fraction(1, 3), np.int64(2**62))))
+    assert cert.reason == RESIDUES_NOT_LINEAR and cert.residues == (0, 1, 0)
+    dec = decompose_spectrum(Spectrum(5, np.arange(5) * 7))
+    assert type(dec.k) is int and all(type(v) is int for v in dec.f)
+    assert rationalize_energies([np.int64(2**62 + 1)], 1e-9, 10**6) == (2**62 + 1,)
+    energies = [np.int64(0), np.int64(2**60 + 1), np.int64(2**61 + 2)]
+    assert analyze_float_spectrum(energies, 3, 1e-9, 10**6).omega == 2**60 + 1
+
+
+@st.composite
+def numpy_integer_spectra(draw):
+    """(dim, entries, twins): energies v_m/D as numpy integers, Fractions of numpy
+    integers and plain Fractions, mixed, beside their Python-int twins; the v_m
+    reach far beyond 2**63/N, and half the spectra have the clock form."""
+    n = draw(DIMS)
+    bound = 2**62 // n
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        values = [k * m + n * draw(st.integers(-bound, bound)) for m in range(n)]
+    else:
+        values = draw(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n))
+    den = draw(st.sampled_from([1, 1, 3, 12, 2**31 - 1, 2**62]))
+    entries = []
+    for v in values:
+        form = draw(st.sampled_from(["numpy", "fraction of numpy", "fraction"]))
+        if form == "numpy" and den == 1:
+            entries.append(np.uint64(v) if v >= 0 and draw(st.booleans()) else np.int64(v))
+        elif form == "fraction":
+            entries.append(Fraction(v, den))
+        else:
+            entries.append(Fraction(np.int64(v), np.int64(den)))
+    return n, entries, tuple(Fraction(v, den) for v in values)
+
+
+@PROPERTY_SETTINGS
+@given(numpy_integer_spectra())
+def test_numpy_integers_decide_like_their_python_twins(case):
+    n, entries, twins = case
+    want = decompose_spectrum(Spectrum(n, twins))
+    spec = Spectrum(n, tuple(entries))
+    assert spec.energies == twins
+    assert all(type(e.numerator) is int and type(e.denominator) is int for e in spec.energies)
+    for got in (decompose_spectrum(spec), analyze_float_spectrum(entries, n, 1e-9, 10**6)):
+        assert_same_outcome(got, want)
+        if isinstance(got, SpectrumDecomposition):
+            assert type(got.k) is int and all(type(v) is int for v in got.f)
+        else:
+            assert got.residues is None or all(type(r) is int for r in got.residues)
+
+
 EXACT_ENERGIES = st.one_of(
     st.integers(-(2**80), 2**80),
     st.fractions(),
@@ -529,15 +591,15 @@ def count_spectra(monkeypatch):
     ],
     ids=["perturbed", "degenerate", "compatible"],
 )
-def test_front_end_builds_one_fraction_per_float_and_no_spectrum(monkeypatch, floats, verdict):
+def test_front_end_builds_no_fraction_per_float_and_no_spectrum(monkeypatch, floats, verdict):
     fractions = count_fraction_constructions(monkeypatch)
     spectra = count_spectra(monkeypatch)
     result = analyze_float_spectrum(floats, 5, 1e-9, 10**6)
     monkeypatch.undo()
     assert isinstance(result, verdict)
     assert spectra == []
-    # the five rationalized floats, and omega only when the gate succeeds
-    assert len(fractions) == 5 + (verdict is SpectrumDecomposition)
+    # the convergents reach the gate as integer pairs: omega only, and only on success
+    assert len(fractions) == (verdict is SpectrumDecomposition)
 
 
 def test_gate_builds_omega_only_on_success(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qclock.verification as verification
-from qclock import Spectrum, SpectrumDecomposition, build_pair, decompose_spectrum, exp_hermitian
+from qclock import Spectrum, SpectrumDecomposition, build_pair, clock_diagonal, decompose_spectrum, exp_hermitian
 from qclock.verification import harmonic_spectrum, measure_signs, run_suite, skewed_spectrum
 
 
@@ -102,3 +102,27 @@ def test_gate_trials_draw_the_stream_of_sequential_spectra(dim, seed):
     # a small range reads the generator's buffered 32-bit half, a normal whole words
     assert batched.integers(0, 1000, size=3).tolist() == sequential.integers(0, 1000, size=3).tolist()
     assert batched.normal() == sequential.normal()
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+@pytest.mark.parametrize("seed", [0, 42, 1093])
+def test_soundness_is_the_largest_per_trial_gap(monkeypatch, dim, seed):
+    # the suite reads every trial's gap in one stacked comparison; the loop is the reference
+    drawn = []
+
+    def recording(*args):
+        trials = original(*args)
+        drawn.extend(trials)
+        return trials
+
+    original = verification._gate_trials
+    monkeypatch.setattr(verification, "_gate_trials", recording)
+    report = run_suite(dim, seed)
+    assert len(drawn) == 100
+    pair = build_pair(dim)
+    expected = 0.0
+    for spec, _ in drawn:
+        dec = decompose_spectrum(spec)
+        expected = max(expected, float(np.abs(dec.tick_phases(1) - clock_diagonal(pair, -dec.k)).max()))
+    (soundness,) = [chk.residual for chk in report.checks if chk.name == "spectrum-soundness"]
+    assert repr(soundness) == repr(expected)
