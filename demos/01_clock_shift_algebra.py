@@ -7,15 +7,23 @@ phase, and that phase table is the backbone of everything else in qclock.
 
 import numpy as np
 
-from qclock import build_pair, commutation_phase, measure_commutation_sign, shift_eigenvector
+from qclock import (
+    build_pair,
+    clock_power,
+    commutation_phase,
+    measure_commutation_sign,
+    shift_eigenvector,
+    shift_power,
+)
 
 N = 5
 pair = build_pair(N)
+clock, shift = clock_power(pair, 1), shift_power(pair, 1)
 
 print(f"clock matrix (diagonal phases), N = {N}:")
-print(np.round(np.diag(pair.clock), 4))
+print(np.round(np.diag(clock), 4))
 print("\nshift matrix (cyclic permutation):")
-print(pair.shift.real.astype(int))
+print(shift.real.astype(int))
 
 print("\nexchange phases c(j, l) with clock^j shift^l = c * shift^l clock^j:")
 for j in range(N):
@@ -28,6 +36,6 @@ print("\nshift eigenvectors are uniform-magnitude Fourier vectors:")
 v1 = shift_eigenvector(pair, 1)
 print(np.round(v1, 4))
 print("eigenvalue check |shift v_1 - w v_1| =",
-      float(np.max(np.abs(pair.shift @ v1 - np.exp(2j * np.pi / N) * v1))))
+      float(np.max(np.abs(shift @ v1 - np.exp(2j * np.pi / N) * v1))))
 print("overlap magnitudes with the clock basis (all 1/sqrt(N)):",
       np.round(np.abs(v1), 4))

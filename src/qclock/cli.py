@@ -44,7 +44,7 @@ EXIT_BAD_DIMENSION = 4
 EXIT_INTERNAL = 5
 
 _VERIFY_DIM_CAP = 31  # runtime guard for the verify suite
-_SPECTRUM_DIM_CAP = 1009  # N x N complex matrices: ~0.25 GB peak at the cap
+_SPECTRUM_DIM_CAP = 1009  # N x N complex matrices: ~0.21 GB peak at the cap
 _MAX_STEPS = 100_000  # clock ticks; time and memory grow linearly with them
 _TOLERANCE = 1e-9  # analyze's defaults, at which clock and wigner --step decide
 _MAX_DENOMINATOR = 10**6
@@ -414,7 +414,7 @@ def cmd_wigner(args) -> int:
                 phases = Spectrum(dim=n, energies=tuple(data["energies"])).phases(t)
     except OverflowError as exc:  # an energy, or the --step ticks, beyond float64
         raise SpectrumFileError(f"{flag}: {exc}") from exc
-    if not np.all(np.isfinite(phases)):
+    if not (np.isfinite(t) and np.all(np.isfinite(phases))):
         raise SpectrumFileError(f"{flag}: time {t!r} times an energy exceeds the float64 range")
 
     pair = build_pair(n)

@@ -120,19 +120,15 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
     return EigenSystem(values=values, vectors=vecs)
 
 
-def exp_from_eig(es: EigenSystem, t: float) -> np.ndarray:
-    """exp(-i*A*t) rebuilt from a precomputed eigensystem of A."""
-    phases = np.exp(-1j * es.values * float(t))
-    return (es.vectors * phases) @ es.vectors.conj().T
-
-
 def exp_hermitian(a, t: float) -> np.ndarray:
     """exp(-i*a*t) for Hermitian a, via eigendecomposition (hbar = 1).
 
     The result is unitary to working precision and satisfies the group law
     exp(-i*a*s) exp(-i*a*t) = exp(-i*a*(s+t)).
     """
-    return exp_from_eig(hermitian_eig(a), t)
+    es = hermitian_eig(a)
+    phases = np.exp(-1j * es.values * float(t))
+    return (es.vectors * phases) @ es.vectors.conj().T
 
 
 def exchange_phase(d, b, tol: float) -> complex:
@@ -170,15 +166,26 @@ def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
     Raises NoRationalWithinTolerance when no admissible convergent exists,
     ValueError for a tolerance that is not positive and finite.
     """
-    return Fraction(*_convergent(x, tolerance, max_denominator))
+    found = _convergent(x, _tolerance_ratio(tolerance, max_denominator), max_denominator)
+    if found is None:
+        raise NoRationalWithinTolerance(f"no p/q with q <= {max_denominator} lies within {tolerance} of {x!r}")
+    return Fraction(*found)
 
 
-def _convergent(x: float, tolerance: float, max_denominator: int) -> tuple:
-    """rationalize's convergent as the integer pair (p, q): coprime, q > 0."""
+def _tolerance_ratio(tolerance: float, max_denominator: int) -> tuple:
+    """The tolerance as the integer pair (c, d) with c/d == tolerance, both arguments checked."""
     if not 0.0 < tolerance < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     if max_denominator < 1:
         raise ValueError("max_denominator must be >= 1")
+    return tolerance.as_integer_ratio()
+
+
+def _convergent(x: float, tolerance: tuple, max_denominator: int) -> tuple | None:
+    """rationalize's convergent as the integer pair (p, q), coprime with q > 0, or None.
+
+    tolerance is the pair (c, d) from _tolerance_ratio, checked once for every x.
+    """
     # exact values need no finiteness check; floats are tested first, as the
     # Fraction test is an ABC check
     if (isinstance(x, float) or not isinstance(x, (int, Fraction))) and not math.isfinite(x):
@@ -187,7 +194,7 @@ def _convergent(x: float, tolerance: float, max_denominator: int) -> tuple:
     # |p/q - a/b| <= c/d  <=>  |p*b - a*q| * d <= c * b * q, as all of q, b, d > 0,
     # and |p*b - a*q| is exactly the remainder of the Euclid step that gives p/q
     a, b = x.as_integer_ratio()
-    c, d = tolerance.as_integer_ratio()
+    c, d = tolerance
     cb = c * b
     p_prev, p_prev2 = 1, 0
     q_prev, q_prev2 = 0, 1
@@ -197,16 +204,13 @@ def _convergent(x: float, tolerance: float, max_denominator: int) -> tuple:
         p_cur = a0 * p_prev + p_prev2
         q_cur = a0 * q_prev + q_prev2
         if q_cur > max_denominator:
-            break
+            return None
         # rem == 0 makes p_cur/q_cur == a/b, which passes: the loop ends
         if rem * d <= cb * q_cur:
             return p_cur, q_cur  # consecutive convergents: coprime, q_cur >= 1
         p_prev, p_prev2 = p_cur, p_prev
         q_prev, q_prev2 = q_cur, q_prev
         num, den = den, rem
-    raise NoRationalWithinTolerance(
-        f"no p/q with q <= {max_denominator} lies within {tolerance} of {x!r}"
-    )
 
 
 def rational_gcd(xs) -> Fraction:

@@ -43,7 +43,6 @@ class OperatorBasis:
 
     diag_dft[a, r]    = exp(-2*pi*i*sym[a]*r/N)
     half_phase[a, b]  = exp(-i*pi*sym[a]*sym[b]/N)
-    lattice_dft[m, a] = exp(2*pi*i*m*sym[a]/N)
     rows[r, 0] = r, cols[r, b] = r + sym[b] (mod N): op[rows, cols] holds the
     cyclic diagonal sym[b] of op in column b.
 
@@ -55,7 +54,6 @@ class OperatorBasis:
     dim: int
     diag_dft: np.ndarray
     half_phase: np.ndarray
-    lattice_dft: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
 
@@ -73,7 +71,6 @@ def build_basis(pair: SchwingerPair) -> OperatorBasis:
     tables = dict(
         diag_dft=np.exp(-2j * np.pi * (np.outer(sym, labels) % n) / n),
         half_phase=np.exp(-1j * np.pi * (np.outer(sym, sym) % (2 * n)) / n),
-        lattice_dft=np.exp(2j * np.pi * (np.outer(labels, sym) % n) / n),
         rows=labels[:, None],
         cols=(labels[:, None] + sym) % n,
     )
@@ -122,7 +119,7 @@ def map_operator(basis: OperatorBasis, op) -> np.ndarray:
     op = _require_dim(basis, op, "operator")
     # chars[a, b] = Tr[(clock^sym[a] shift^sym[b])^dag op]
     chars = basis.diag_dft @ op[..., basis.rows, basis.cols]
-    f = basis.lattice_dft
+    f = basis.diag_dft.conj().T  # f[m, a] = exp(2*pi*i*m*sym[a]/N)
     return f @ (basis.half_phase * chars) @ f.T / basis.dim
 
 
@@ -132,8 +129,7 @@ def unmap_grid(basis: OperatorBasis, grid) -> np.ndarray:
     Takes (..., N, N) stacks as map_operator does.
     """
     grid = _require_dim(basis, grid, "grid")
-    f = basis.lattice_dft
-    chars = basis.half_phase.conj() * (f.conj().T @ grid @ f.conj())
+    chars = basis.half_phase.conj() * (basis.diag_dft @ grid @ basis.diag_dft.T)
     op = np.empty_like(grid)
     op[..., basis.rows, basis.cols] = basis.diag_dft.conj().T @ chars / basis.dim**2
     return op

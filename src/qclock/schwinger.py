@@ -20,17 +20,18 @@ _SCALAR_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SchwingerPair:
-    """The unitary pair plus the Fourier overlap table.
+    """The unitary pair by its structure, plus the Fourier overlap table.
 
-    clock   -- diagonal, entries exp(2*pi*i*k/N)
-    shift   -- cyclic permutation taking basis vector e_n to e_{n-1 (mod N)}
-    fourier -- row k holds the overlaps of shift-eigenvector k with the
-               clock basis: fourier[k, n] = exp(-2*pi*i*k*n/N)/sqrt(N)
+    clock_phases -- the clock's diagonal as a 1-D row: entry k is exp(2*pi*i*k/N)
+    fourier      -- row k holds the overlaps of shift-eigenvector k with the
+                    clock basis: fourier[k, n] = exp(-2*pi*i*k*n/N)/sqrt(N)
+
+    The shift, the cyclic permutation e_n -> e_{n-1 (mod N)}, is fixed by dim.
+    Dense powers of either unitary come from clock_power and shift_power.
     """
 
     dim: int
-    clock: np.ndarray
-    shift: np.ndarray
+    clock_phases: np.ndarray
     fourier: np.ndarray
 
 
@@ -42,12 +43,11 @@ def build_pair(dim: int) -> SchwingerPair:
     if not is_odd_prime(dim):
         raise DimensionNotOddPrime(f"dimension must be an odd prime, got {dim}")
     labels = np.arange(dim)
-    clock = np.diag(np.exp(2j * np.pi * labels / dim))
-    shift = np.roll(np.eye(dim, dtype=np.complex128), -1, axis=0)
+    clock_phases = np.exp(2j * np.pi * labels / dim)
     fourier = np.exp(-2j * np.pi * (np.outer(labels, labels) % dim) / dim) / np.sqrt(dim)
-    for arr in (clock, shift, fourier):
+    for arr in (clock_phases, fourier):
         arr.setflags(write=False)
-    return SchwingerPair(dim=dim, clock=clock, shift=shift, fourier=fourier)
+    return SchwingerPair(dim=dim, clock_phases=clock_phases, fourier=fourier)
 
 
 def clock_diagonal(pair: SchwingerPair, exponent: int) -> np.ndarray:
@@ -59,7 +59,7 @@ def clock_diagonal(pair: SchwingerPair, exponent: int) -> np.ndarray:
     """
     e = exponent % pair.dim
     labels = np.arange(pair.dim)
-    return pair.clock.diagonal()[(e * labels) % pair.dim]
+    return pair.clock_phases[(e * labels) % pair.dim]
 
 
 def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:

@@ -35,12 +35,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    DimensionNotOddPrime,
-    IncompatibleSpectrum,
-    NoRationalWithinTolerance,
-)
-from .numerics import _convergent, is_odd_prime
+from .errors import DimensionNotOddPrime, IncompatibleSpectrum
+from .numerics import _convergent, _tolerance_ratio, is_odd_prime
 
 NOT_COMMENSURABLE = "NotCommensurable"
 DEGENERATE = "DegenerateSpectrum"
@@ -171,8 +167,13 @@ class SpectrumDecomposition:
         return reduced
 
     def tick_phases(self, j: int) -> np.ndarray:
-        """exp(-i*E_m*j*dtau), the diagonal of the propagator over j ticks."""
-        return _phase_vector(self.tick_energies, j * self.delta_tau)
+        """exp(-i*E_m*j*dtau), the diagonal of the propagator over j ticks.
+
+        N ticks are whole turns, so j enters mod N (a float j*dtau loses the
+        phase at large j), and the tick is checked before the energies are formed.
+        """
+        t = (j % self.dim) * self.delta_tau
+        return _phase_vector(self.tick_energies, t)
 
     def energy(self, m: int) -> Fraction:
         return self.omega * (self.k * m + self.dim * self.f[m])
@@ -278,22 +279,24 @@ def _rational_pairs(
     Ints, numpy integers, Fractions and "p/q" strings are exact: their own
     value.  Any other entry is float(x), rationalized as rationalize does.
     The certificate names the first float with no admissible approximation.
+    A tolerance or max_denominator out of range is a ValueError, whatever the entries.
     """
+    ratio = _tolerance_ratio(tolerance, max_denominator)
     pairs = []
     for i, x in enumerate(energies):
         # floats skip the ABC check
         if not isinstance(x, float) and isinstance(x, (int, Fraction, str, np.integer)):
             pairs.append(_exact_fraction(x).as_integer_ratio())
             continue
-        try:
-            pairs.append(_convergent(float(x), tolerance, max_denominator))
-        except NoRationalWithinTolerance:
+        found = _convergent(float(x), ratio, max_denominator)
+        if found is None:
             return IncompatibilityCertificate(
                 reason=NOT_COMMENSURABLE,
                 first_bad_index=i,
                 detail=f"energy {i} ({float(x)!r}) has no rational approximation "
                 f"within {tolerance} at denominators <= {max_denominator}",
             )
+        pairs.append(found)
     return pairs
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency
-from .numerics import EigenSystem, exchange_phase, exp_from_eig
+from .numerics import exchange_phase
 from .phase_space import OperatorBasis, map_operator
 from .schwinger import SchwingerPair
 from .spectrum import Spectrum, SpectrumDecomposition, reduce_mod_period
@@ -33,20 +33,22 @@ _SCALAR_TOL = 1e-10
 class TimeIntervalOperator:
     """T in the clock basis, with its analytic eigensystem.
 
-    eigensystem.values are dtau * l (ascending) and column l of
-    eigensystem.vectors is the shift eigenvector |s_l>, so exp(-i*T*t) is
-    exp_from_eig(eigensystem, t) without a numerical eigensolve.
+    eigenvalues are dtau * l (ascending); the eigenvector of eigenvalue l is
+    the shift eigenvector |s_l>, the conjugate of row l of fourier.  fourier
+    is the pair's own table, shared and not copied.
     """
 
     dim: int
     delta_tau: float
     matrix: np.ndarray
-    eigensystem: EigenSystem
+    eigenvalues: np.ndarray
+    fourier: np.ndarray
     decomp: SpectrumDecomposition
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eigensystem.values
+    def exp(self, t: float) -> np.ndarray:
+        """exp(-i*T*t) from the analytic eigensystem, without a numerical eigensolve."""
+        phases = np.exp(-1j * self.eigenvalues * float(t))
+        return (self.fourier.conj().T * phases) @ self.fourier
 
 
 def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> TimeIntervalOperator:
@@ -55,20 +57,15 @@ def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> T
         raise DimensionMismatch(f"pair dim {pair.dim} != decomposition dim {decomp.dim}")
     n = pair.dim
     dtau = decomp.delta_tau
-    eigvecs = pair.fourier.conj().T  # column l is the l-th shift eigenvector
     labels = np.arange(n)
     eigvals = dtau * labels
     # T[r, s] = (dtau/N) sum_l l z^(l(r-s)) = dtau/(z^(r-s) - 1), or dtau*(N-1)/2 at r = s
-    row = np.concatenate(([dtau * (n - 1) / 2], dtau / (pair.clock.diagonal()[1:] - 1.0)))
+    row = np.concatenate(([dtau * (n - 1) / 2], dtau / (pair.clock_phases[1:] - 1.0)))
     matrix = row[(labels[:, None] - labels) % n]
-    for arr in (eigvecs, eigvals, matrix):
+    for arr in (eigvals, matrix):
         arr.setflags(write=False)
     return TimeIntervalOperator(
-        dim=n,
-        delta_tau=dtau,
-        matrix=matrix,
-        eigensystem=EigenSystem(values=eigvals, vectors=eigvecs),
-        decomp=decomp,
+        dim=n, delta_tau=dtau, matrix=matrix, eigenvalues=eigvals, fourier=pair.fourier, decomp=decomp
     )
 
 
@@ -101,7 +98,7 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
     reduced = reduce_mod_period(spec.energies, top.decomp.omega, n)
     worst = 0.0
     for m in range(n - s):
-        w = exp_from_eig(top.eigensystem, reduced[m + s] - reduced[m])
+        w = top.exp(reduced[m + s] - reduced[m])
         worst = max(worst, float(np.abs(w - reference).max()))
     return worst
 
@@ -124,7 +121,7 @@ def verify_weyl_pair(
         raise IndexOutOfRange(f"ladder index {j} outside 0..{top.dim - 1}")
 
     reduced = decomp.tick_energies  # T's eigenvalues are multiples of the tick
-    wexp = exp_from_eig(top.eigensystem, reduced[j] - reduced[0])
+    wexp = top.exp(reduced[j] - reduced[0])
     return exchange_phase(decomp.tick_phases(n), wexp, _SCALAR_TOL)
 
 

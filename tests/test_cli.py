@@ -275,6 +275,13 @@ def test_wigner_step_on_incompatible_exits_three():
     assert proc.returncode == 3
 
 
+def test_wigner_step_is_taken_mod_n():
+    # 100000000000000002 ticks = 2 ticks (mod 5); the float product with the tick would not see it
+    by_mod = run_cli("wigner", "--spectrum", SKEWED, "--state", "v:1", "--step", "2")
+    by_large = run_cli("wigner", "--spectrum", SKEWED, "--state", "v:1", "--step", "100000000000000002")
+    assert by_large.returncode == 0 and by_large.stdout == by_mod.stdout
+
+
 def test_wigner_step_equals_time():
     tick = 2 * np.pi / 5
     by_step = run_cli("wigner", "--spectrum", HARMONIC, "--state", "v:0", "--step", "2")
@@ -560,6 +567,7 @@ HUGE_OMEGA = {"n": 3, "energies": [0, 10**400, 2 * 10**400]}
         (TINY_OMEGA, ("clock",), 3, "tick"),
         (TINY_OMEGA, ("wigner", "--state", "v:0", "--step", "1"), 3, "tick"),
         (HUGE_OMEGA, ("analyze",), 3, "tick"),
+        (HUGE_OMEGA, ("clock",), 3, "tick"),
         (LARGE_LADDERS["n5-1e400"], ("wigner", "--state", "v:0", "--time", "1"), 2, "energy 1"),
         ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--time", "1e308"), 2, "1e+308"),
         ({"n": 3, "energies": [0, 1, 2]}, ("wigner", "--state", "v:0", "--step", "1" + "0" * 400), 2, "--step"),
@@ -570,7 +578,7 @@ HUGE_OMEGA = {"n": 3, "energies": [0, 10**400, 2 * 10**400]}
         (DEGENERATE, ("clock",), 3, "all energies equal"),
         (DEGENERATE, ("wigner", "--state", "v:0", "--step", "1"), 3, "all energies equal"),
     ],
-    ids=["tiny-omega-analyze", "tiny-omega-clock", "tiny-omega-wigner", "huge-omega-analyze",
+    ids=["tiny-omega-analyze", "tiny-omega-clock", "tiny-omega-wigner", "huge-omega-analyze", "huge-omega-clock",
          "wigner-time-huge-energy", "wigner-time-overflow", "wigner-step-overflow",
          "wigner-step-phase-overflow", "not-commensurable-analyze", "not-commensurable-clock",
          "not-commensurable-wigner", "degenerate-clock", "degenerate-wigner"],

@@ -522,7 +522,7 @@ def test_exchange_phase_of_clock_and_shift_powers():
 
 def test_exchange_phase_rejects_a_non_scalar_pair():
     with pytest.raises(NotScalarMultiple):
-        exchange_phase(np.array([1.0, 2.0, 3.0]), build_pair(3).shift, 1e-10)
+        exchange_phase(np.array([1.0, 2.0, 3.0]), shift_power(build_pair(3), 1), 1e-10)
 
 
 def dense_exchange_reading(d, b):

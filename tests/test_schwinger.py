@@ -18,19 +18,26 @@ from conftest import cached_pair
 def test_shift_matrix_structure():
     pair = build_pair(3)
     expected = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=complex)
-    assert np.array_equal(pair.shift, expected)
+    assert np.array_equal(shift_power(pair, 1), expected)
 
 
 def test_clock_matrix_structure():
     pair = build_pair(3)
     expected = np.diag([1.0, np.exp(2j * np.pi / 3), np.exp(4j * np.pi / 3)])
-    assert np.max(np.abs(pair.clock - expected)) < 1e-15
+    assert np.max(np.abs(clock_power(pair, 1) - expected)) < 1e-15
 
 
 def test_pair_order_n():
     pair = build_pair(3)
-    assert np.max(np.abs(np.linalg.matrix_power(pair.clock, 3) - np.eye(3))) < 1e-12
-    assert np.max(np.abs(np.linalg.matrix_power(pair.shift, 3) - np.eye(3))) < 1e-12
+    assert np.max(np.abs(np.linalg.matrix_power(clock_power(pair, 1), 3) - np.eye(3))) < 1e-12
+    assert np.max(np.abs(np.linalg.matrix_power(shift_power(pair, 1), 3) - np.eye(3))) < 1e-12
+
+
+def test_pair_holds_the_clock_as_one_read_only_row():
+    pair = build_pair(5)
+    assert pair.clock_phases.shape == (5,) and not pair.clock_phases.flags.writeable
+    assert np.array_equal(clock_power(pair, 1).diagonal(), pair.clock_phases)
+    assert not hasattr(pair, "clock") and not hasattr(pair, "shift")
 
 
 @pytest.mark.parametrize("bad", [1, 2, 4, 6, 9, 15])
@@ -47,12 +54,12 @@ def test_shift_eigenvector_uniform():
 def test_shift_eigenvector_eigen_residual():
     pair = cached_pair(3)
     vec = shift_eigenvector(pair, 1)
-    assert np.max(np.abs(pair.shift @ vec - np.exp(2j * np.pi / 3) * vec)) < 1e-12
+    assert np.max(np.abs(shift_power(pair, 1) @ vec - np.exp(2j * np.pi / 3) * vec)) < 1e-12
 
 
 def test_clock_raises_shift_eigenvector_index():
     pair = cached_pair(5)
-    lifted = pair.clock @ shift_eigenvector(pair, 2)
+    lifted = clock_power(pair, 1) @ shift_eigenvector(pair, 2)
     assert np.max(np.abs(lifted - shift_eigenvector(pair, 3))) < 1e-12
 
 

@@ -465,6 +465,26 @@ def test_a_non_finite_tolerance_is_a_value_error_at_every_entry_point(tolerance)
         rationalize_energies([0, 0.3], tolerance, 10)
     with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
         analyze_float_spectrum([0, 0.3, 0.6], 3, tolerance, 10)
+    # exact entries need no rationalizing, but the arguments are checked all the same
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
+        rationalize_energies([0, 1], tolerance, 10)
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
+        analyze_float_spectrum([0, 1, 2], 3, tolerance, 10)
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
+        rationalize_energies([0, 1], math.nan, 0)
+    with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
+        analyze_float_spectrum([0, 1, 2], 3, -1.0, 0)
+    with pytest.raises(ValueError, match="^max_denominator must be >= 1"):
+        rationalize_energies([0, Fraction(1, 3)], 1e-9, 0)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+def test_tick_phases_take_the_tick_count_mod_n(dim):
+    dec = decompose_spectrum(Spectrum(dim, tuple(2 * m + dim * m * m for m in range(dim))))
+    for j in (0, 1, 2, dim - 1):
+        reference = dec.tick_phases(j)
+        for large in (j + dim, j - dim, j + 10**17 * dim, j - 7 * dim):
+            assert dec.tick_phases(large).tobytes() == reference.tobytes()
 
 
 def test_numpy_integers_are_exact_in_the_gate():

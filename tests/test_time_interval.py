@@ -14,7 +14,6 @@ from qclock import (
     verify_energy_shift,
     verify_weyl_pair,
 )
-from qclock.numerics import exp_from_eig
 from conftest import cached_basis, cached_pair
 
 HARMONIC5 = Spectrum(5, (0, 1, 2, 3, 4))
@@ -37,11 +36,26 @@ def test_eigenvalues_harmonic_n5():
 @pytest.mark.parametrize("spec", [HARMONIC5, SKEWED5])
 def test_analytic_eigensystem(spec):
     top = top_for(spec)
-    es = top.eigensystem
-    assert np.max(np.abs((es.vectors * es.values) @ es.vectors.conj().T - top.matrix)) < 1e-12
-    assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(5))) < 1e-12
-    assert np.array_equal(es.values, top.eigenvalues)
-    assert np.max(np.abs(exp_hermitian(top.matrix, 0.83) - exp_from_eig(es, 0.83))) < 1e-12
+    vectors = top.fourier.conj().T  # column l is the shift eigenvector |s_l>
+    assert np.max(np.abs((vectors * top.eigenvalues) @ vectors.conj().T - top.matrix)) < 1e-12
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(5))) < 1e-12
+    assert np.array_equal(top.eigenvalues, top.delta_tau * np.arange(5))
+    assert np.max(np.abs(exp_hermitian(top.matrix, 0.83) - top.exp(0.83))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+def test_exp_is_the_propagator_of_t(dim):
+    top = top_for(quadratic_spectrum(dim))
+    s, t = 0.37, -1.91
+    assert np.max(np.abs(top.exp(t) - exp_hermitian(top.matrix, t))) < 1e-12
+    assert np.max(np.abs(top.exp(s) @ top.exp(t) - top.exp(s + t))) < 1e-12
+
+
+def test_time_operator_shares_the_pair_fourier_table():
+    pair = cached_pair(7)
+    top = build_time_operator(pair, decompose_spectrum(quadratic_spectrum(7)))
+    assert top.fourier is pair.fourier
+    assert not hasattr(top, "eigensystem")
 
 
 def test_trace_n3():
