@@ -27,6 +27,8 @@ from .numerics import is_odd_prime
 from .phase_space import build_basis, wigner_of_density
 from .schwinger import build_pair, shift_eigenvector
 from .spectrum import (
+    DEFAULT_MAX_DENOMINATOR,
+    DEFAULT_TOLERANCE,
     IncompatibilityCertificate,
     Spectrum,
     SpectrumDecomposition,
@@ -44,10 +46,8 @@ EXIT_BAD_DIMENSION = 4
 EXIT_INTERNAL = 5
 
 _VERIFY_DIM_CAP = 31  # runtime guard for the verify suite
-_SPECTRUM_DIM_CAP = 1009  # N x N complex matrices: ~0.21 GB peak at the cap
+_SPECTRUM_DIM_CAP = 1009  # N x N complex matrices: ~0.18 GB peak at the cap
 _MAX_STEPS = 100_000  # clock ticks; time and memory grow linearly with them
-_TOLERANCE = 1e-9  # analyze's defaults, at which clock and wigner --step decide
-_MAX_DENOMINATOR = 10**6
 _RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
 
 
@@ -341,7 +341,7 @@ def _emit_analyze_text(report: dict) -> None:
 
 def _compatible(data: dict):
     """(Spectrum, SpectrumDecomposition) of a loaded spectrum file; raises IncompatibleSpectrum."""
-    outcome = analyze_float_spectrum(data["energies"], data["n"], _TOLERANCE, _MAX_DENOMINATOR)
+    outcome = analyze_float_spectrum(data["energies"], data["n"], DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
     if not isinstance(outcome, SpectrumDecomposition):
         raise IncompatibleSpectrum(outcome.detail)
     return Spectrum(dim=outcome.dim, energies=outcome.energies()), outcome
@@ -392,7 +392,8 @@ def _parse_state(text: str, n: int):
         raise SpectrumFileError(
             f"--state must be 'v:INT', 'u:INT', or 'mixed', got {text!r}"
         )
-    index = int(match.group(2))
+    index = _parse_int(match.group(2))
+    _require_convertible(index, "--state index")
     if not 0 <= index < n:
         raise SpectrumFileError(f"--state index {index} outside 0..{n - 1}")
     return (match.group(1), index)
@@ -529,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="decide whether a spectrum supports a clock")
     p.add_argument("--spectrum", required=True, help="path to a spectrum JSON file")
-    p.add_argument("--tolerance", type=_positive_float, default=_TOLERANCE)
-    p.add_argument("--max-denominator", type=_positive_int, default=_MAX_DENOMINATOR)
+    p.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOLERANCE)
+    p.add_argument("--max-denominator", type=_positive_int, default=DEFAULT_MAX_DENOMINATOR)
     p.add_argument("--shift-ground", action="store_true",
                    help="also analyze with the ground energy subtracted")
     p.add_argument("--format", choices=("json", "text"), default="json")

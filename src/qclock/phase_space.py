@@ -14,12 +14,16 @@ The maps between operators and lattice grids never form the elements.
 clock^j shift^l is nonzero only on the cyclic diagonal (r, r + l mod N), so
 Tr[(clock^j shift^l)^dag op] is a DFT over r of that diagonal of op; the
 grid is those N^2 values times a phase, transformed over (j, l) by a 2-D
-DFT.  Each map is one gather and three N x N matrix products: O(N^3) time
-and O(N^2) memory, where the elements take 16*N^4 bytes.
+DFT.  Every DFT is the pair's own Fourier table: the maps index j and l by
+0..N-1, and only the phase, which is not periodic mod N, reads their
+symmetric representatives.  Each map is one gather and three N x N matrix
+products: O(N^3) time and O(N^2) memory, where the elements take 16*N^4
+bytes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,13 +42,14 @@ DENSITY_EIG_FLOOR = -1e-10
 class OperatorBasis:
     """The N x N tables behind map_operator and unmap_grid.
 
-    With sym = -(N-1)/2..(N-1)/2 (the clock exponent j = sym[a], the shift
-    exponent l = sym[b]):
+    With j the clock exponent and l the shift exponent, both 0..N-1, and
+    sym(j) their representative in -(N-1)/2..(N-1)/2:
 
-    diag_dft[a, r]    = exp(-2*pi*i*sym[a]*r/N)
-    half_phase[a, b]  = exp(-i*pi*sym[a]*sym[b]/N)
-    rows[r, 0] = r, cols[r, b] = r + sym[b] (mod N): op[rows, cols] holds the
-    cyclic diagonal sym[b] of op in column b.
+    fourier[j, r]     = exp(-2*pi*i*j*r/N)/sqrt(N), the pair's own table,
+                        shared and not copied
+    half_phase[j, l]  = exp(-i*pi*sym(j)*sym(l)/N)
+    rows[r, 0] = r, cols[r, l] = r + l (mod N): op[rows, cols] holds the
+    cyclic diagonal l of op in column l.
 
     ``elements`` (shape (N, N, N, N); elements[m, n] is B(m, n)) is summed
     from the definition on first read and then cached.  It takes 16*N^4
@@ -52,7 +57,7 @@ class OperatorBasis:
     """
 
     dim: int
-    diag_dft: np.ndarray
+    fourier: np.ndarray
     half_phase: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
@@ -63,20 +68,19 @@ class OperatorBasis:
 
 
 def build_basis(pair: SchwingerPair) -> OperatorBasis:
-    """Precompute the transform tables for the given pair (O(N^2) memory)."""
+    """The transform tables for the given pair (O(N^2) memory, one new complex table)."""
     n = pair.dim
     half = (n - 1) // 2
-    sym = np.arange(-half, half + 1)
     labels = np.arange(n)
+    sym = (labels + half) % n - half
     tables = dict(
-        diag_dft=np.exp(-2j * np.pi * (np.outer(sym, labels) % n) / n),
         half_phase=np.exp(-1j * np.pi * (np.outer(sym, sym) % (2 * n)) / n),
         rows=labels[:, None],
-        cols=(labels[:, None] + sym) % n,
+        cols=(labels[:, None] + labels) % n,
     )
     for arr in tables.values():
         arr.setflags(write=False)
-    return OperatorBasis(dim=n, **tables)
+    return OperatorBasis(dim=n, fourier=pair.fourier, **tables)
 
 
 def _basis_tensor(pair: SchwingerPair) -> np.ndarray:
@@ -117,10 +121,11 @@ def map_operator(basis: OperatorBasis, op) -> np.ndarray:
     matrix at a time.
     """
     op = _require_dim(basis, op, "operator")
-    # chars[a, b] = Tr[(clock^sym[a] shift^sym[b])^dag op]
-    chars = basis.diag_dft @ op[..., basis.rows, basis.cols]
-    f = basis.diag_dft.conj().T  # f[m, a] = exp(2*pi*i*m*sym[a]/N)
-    return f @ (basis.half_phase * chars) @ f.T / basis.dim
+    f = basis.fourier
+    # F @ diagonals is Tr[(clock^j shift^l)^dag op] / sqrt(N) at [j, l]; the 2-D DFT
+    # is by conj(F), and conj(F) @ x @ conj(F) = conj(F @ conj(x) @ F) needs no copy of it
+    weighted = basis.half_phase * (f @ op[..., basis.rows, basis.cols])
+    return np.conj(f @ np.conj(weighted) @ f) * math.sqrt(basis.dim)
 
 
 def unmap_grid(basis: OperatorBasis, grid) -> np.ndarray:
@@ -129,9 +134,11 @@ def unmap_grid(basis: OperatorBasis, grid) -> np.ndarray:
     Takes (..., N, N) stacks as map_operator does.
     """
     grid = _require_dim(basis, grid, "grid")
-    chars = basis.half_phase.conj() * (basis.diag_dft @ grid @ basis.diag_dft.T)
+    f = basis.fourier
+    # the inverse of each step of map_operator, with conj(F) @ x = conj(F @ conj(x))
+    weighted = basis.half_phase * np.conj(f @ grid @ f)
     op = np.empty_like(grid)
-    op[..., basis.rows, basis.cols] = basis.diag_dft.conj().T @ chars / basis.dim**2
+    op[..., basis.rows, basis.cols] = np.conj(f @ weighted) / math.sqrt(basis.dim)
     return op
 
 

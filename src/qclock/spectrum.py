@@ -42,6 +42,11 @@ NOT_COMMENSURABLE = "NotCommensurable"
 DEGENERATE = "DegenerateSpectrum"
 RESIDUES_NOT_LINEAR = "ResiduesNotLinear"
 
+# the float front end's defaults: analyze's flags, and the values at which
+# clock, wigner --step and the verify suite rationalize
+DEFAULT_TOLERANCE = 1e-9
+DEFAULT_MAX_DENOMINATOR = 10**6
+
 
 def _require_odd_prime(dim: int) -> None:
     if not is_odd_prime(dim):

@@ -16,6 +16,7 @@ in the clock basis, so the two eigenbases are mutually unbiased.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,9 @@ class TimeIntervalOperator:
 
     eigenvalues are dtau * l (ascending); the eigenvector of eigenvalue l is
     the shift eigenvector |s_l>, the conjugate of row l of fourier.  fourier
-    is the pair's own table, shared and not copied.
+    is the pair's own table, shared and not copied.  T and each exp(-i*T*t)
+    are diagonal in the Fourier basis, hence circulant in the clock basis:
+    entry (r, s) depends on (r - s) mod N only, so one column fixes each.
     """
 
     dim: int
@@ -47,8 +50,23 @@ class TimeIntervalOperator:
 
     def exp(self, t: float) -> np.ndarray:
         """exp(-i*T*t) from the analytic eigensystem, without a numerical eigensolve."""
-        phases = np.exp(-1j * self.eigenvalues * float(t))
-        return (self.fourier.conj().T * phases) @ self.fourier
+        return _circulant(_exp_column(self, t))
+
+
+def _exp_column(top: TimeIntervalOperator, t: float) -> np.ndarray:
+    """Column 0 of exp(-i*T*t): entry d is (1/N) sum_l exp(-i*dtau*l*t) z^(l*d), z = exp(2*pi*i/N)."""
+    conj_phases = np.exp(top.eigenvalues * (1j * float(t)))
+    return np.conj(conj_phases @ top.fourier) / math.sqrt(top.dim)
+
+
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The N x N matrix with entry (r, s) = column[(r - s) mod N]."""
+    n = column.size
+    doubled = np.concatenate((column, column))
+    step = doubled.itemsize
+    # entry (r, s) is doubled[n + r - s]: a view that steps +1 down a column and -1
+    # along a row, which numpy checks against the buffer; copied to own its memory
+    return np.ndarray((n, n), doubled.dtype, doubled, n * step, (step, -step)).copy()
 
 
 def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> TimeIntervalOperator:
@@ -57,11 +75,9 @@ def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> T
         raise DimensionMismatch(f"pair dim {pair.dim} != decomposition dim {decomp.dim}")
     n = pair.dim
     dtau = decomp.delta_tau
-    labels = np.arange(n)
-    eigvals = dtau * labels
-    # T[r, s] = (dtau/N) sum_l l z^(l(r-s)) = dtau/(z^(r-s) - 1), or dtau*(N-1)/2 at r = s
-    row = np.concatenate(([dtau * (n - 1) / 2], dtau / (pair.clock_phases[1:] - 1.0)))
-    matrix = row[(labels[:, None] - labels) % n]
+    eigvals = dtau * np.arange(n)
+    # column d = (dtau/N) sum_l l z^(l*d) = dtau/(z^d - 1), or dtau*(N-1)/2 at d = 0
+    matrix = _circulant(np.concatenate(([dtau * (n - 1) / 2], dtau / (pair.clock_phases[1:] - 1.0))))
     for arr in (eigvals, matrix):
         arr.setflags(write=False)
     return TimeIntervalOperator(
@@ -93,13 +109,15 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
         raise DimensionMismatch(f"spectrum dim {spec.dim} != operator dim {n}")
     if not 0 <= s < n:
         raise ValueError(f"gap s={s} outside 0..{n - 1}")
-    # shift^(-k*s) is the permutation e_j -> e_{j + k*s (mod N)}
-    reference = np.roll(np.eye(n, dtype=np.complex128), top.decomp.k * s % n, axis=0)
+    # exp(-i*T*t) and shift^(-k*s) are both circulant, so their largest gap over the
+    # matrix is the largest over one column; that of shift^(-k*s) is e_{k*s mod N}
+    reference = np.zeros(n)
+    reference[top.decomp.k * s % n] = 1.0
     reduced = reduce_mod_period(spec.energies, top.decomp.omega, n)
     worst = 0.0
     for m in range(n - s):
-        w = top.exp(reduced[m + s] - reduced[m])
-        worst = max(worst, float(np.abs(w - reference).max()))
+        column = _exp_column(top, reduced[m + s] - reduced[m])
+        worst = max(worst, float(np.abs(column - reference).max()))
     return worst
 
 

@@ -35,7 +35,14 @@ from .schwinger import (
     shift_eigenvector,
     shift_power,
 )
-from .spectrum import Spectrum, SpectrumDecomposition, analyze_float_spectrum, decompose_spectrum
+from .spectrum import (
+    DEFAULT_MAX_DENOMINATOR,
+    DEFAULT_TOLERANCE,
+    Spectrum,
+    SpectrumDecomposition,
+    analyze_float_spectrum,
+    decompose_spectrum,
+)
 from .time_interval import (
     build_time_operator,
     measure_weyl_sign,
@@ -194,7 +201,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     for _ in range(150):
         q = int(rng.integers(1, 1001))
         p = int(rng.integers(-1000 * q, 1000 * q + 1))
-        r, g = rationalize(p / q, 1e-9, 10**6), math.gcd(p, q)  # p/q in lowest terms: p//g, q//g
+        r = rationalize(p / q, DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
+        g = math.gcd(p, q)  # p/q in lowest terms: p//g, q//g
         if r.numerator != p // g or r.denominator != q // g:
             failures += 1
     checks.append(_upper("rationalize-roundtrip", failures, 0.0))
@@ -275,7 +283,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         powers.append(-result.k)
         floats = spec.as_floats().tolist()
         floats[index] += _PERTURBATION
-        if isinstance(analyze_float_spectrum(floats, n, 1e-9, 10**6), SpectrumDecomposition):
+        outcome = analyze_float_spectrum(floats, n, DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
+        if isinstance(outcome, SpectrumDecomposition):
             perturb_failures += 1
     # every trial's gap in one comparison: the maximum of the same elementwise gaps
     soundness = 0.0

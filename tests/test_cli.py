@@ -325,8 +325,9 @@ def test_wigner_requires_exactly_one_of_time_step():
     )
 
 
-def test_wigner_bad_state_is_malformed():
-    proc = run_cli("wigner", "--spectrum", HARMONIC, "--state", "w:1", "--time", "0")
+@pytest.mark.parametrize("state", ["w:1", "v:" + "1" * 5000], ids=["bad-kind", "index-beyond-int-digits"])
+def test_wigner_bad_state_is_malformed(state):
+    proc = run_cli("wigner", "--spectrum", HARMONIC, "--state", state, "--time", "0")
     assert proc.returncode == 2
     assert "--state" in proc.stderr
 

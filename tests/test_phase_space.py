@@ -268,6 +268,20 @@ def test_elements_cached_and_read_only():
         basis.elements = np.zeros((3, 3, 3, 3))
 
 
+@pytest.mark.parametrize("dim", [3, 31])
+def test_basis_shares_the_pair_fourier_table(dim):
+    pair = cached_pair(dim)
+    basis = build_basis(pair)
+    assert basis.fourier is pair.fourier
+    tables = [
+        value
+        for value in vars(basis).values()
+        if isinstance(value, np.ndarray) and value.dtype.kind == "c" and value.shape == (dim, dim)
+    ]
+    assert len(tables) == 2  # the shared Fourier table and the basis's own half_phase
+    assert sum(table is not pair.fourier for table in tables) == 1
+
+
 def test_n31_paths_never_build_elements(monkeypatch):
     def refuse(pair):
         raise AssertionError("the N^4 element tensor was built")

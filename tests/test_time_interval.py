@@ -14,6 +14,7 @@ from qclock import (
     verify_energy_shift,
     verify_weyl_pair,
 )
+from qclock.spectrum import reduce_mod_period
 from conftest import cached_basis, cached_pair
 
 HARMONIC5 = Spectrum(5, (0, 1, 2, 3, 4))
@@ -43,12 +44,14 @@ def test_analytic_eigensystem(spec):
     assert np.max(np.abs(exp_hermitian(top.matrix, 0.83) - top.exp(0.83))) < 1e-12
 
 
-@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+@pytest.mark.parametrize("dim", [3, 5, 7, 31, 211])
 def test_exp_is_the_propagator_of_t(dim):
     top = top_for(quadratic_spectrum(dim))
     s, t = 0.37, -1.91
     assert np.max(np.abs(top.exp(t) - exp_hermitian(top.matrix, t))) < 1e-12
     assert np.max(np.abs(top.exp(s) @ top.exp(t) - top.exp(s + t))) < 1e-12
+    # circulant: every entry repeats exactly one step down the diagonal
+    assert np.array_equal(top.exp(t), np.roll(top.exp(t), (1, 1), axis=(0, 1)))
 
 
 def test_time_operator_shares_the_pair_fourier_table():
@@ -115,6 +118,23 @@ def test_energy_shift_all_gaps(dim):
         top = top_for(spec)
         for s in range(dim):
             assert verify_energy_shift(top, spec, s) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31])
+def test_energy_shift_is_the_max_over_the_dense_matrices(dim):
+    pair = cached_pair(dim)
+    matching = quadratic_spectrum(dim)
+    top = top_for(matching)
+    squares = Spectrum(dim, tuple(m * m for m in range(dim)))
+    for spec in (matching, squares):
+        reduced = reduce_mod_period(spec.energies, top.decomp.omega, dim)
+        for s in (1, dim - 1):
+            reference = shift_power(pair, -top.decomp.k * s)
+            dense = max(
+                float(np.abs(top.exp(reduced[m + s] - reduced[m]) - reference).max())
+                for m in range(dim - s)
+            )
+            assert verify_energy_shift(top, spec, s) == dense
 
 
 def test_energy_shift_fails_off_the_compatible_class():
