@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, IncompatibleSpectrum, IndexOutOfRange, InternalConsistency
 from .numerics import exp_hermitian
-from .phase_space import OperatorBasis, check_density, wigner_of_density
+from .phase_space import OperatorBasis, check_density, map_operator, wigner_of_density
 from .schwinger import SchwingerPair, shift_eigenvector
 from .spectrum import Spectrum, SpectrumDecomposition
 
@@ -69,7 +69,7 @@ def stroboscopic_step(grid, k: int, sign: int) -> np.ndarray:
         raise ValueError(f"shift power k={k} outside 0..{n - 1}")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return np.roll(grid, sign * k, axis=1)
+    return grid[:, (np.arange(n) - sign * k) % n]
 
 
 def conjugate_diagonal(rho, phases) -> np.ndarray:
@@ -90,7 +90,7 @@ def measure_shift_sign(pair: SchwingerPair, decomp: SpectrumDecomposition) -> in
     n = pair.dim
     moved = decomp.tick_phases(1) * shift_eigenvector(pair, 0)
     populations = np.abs(pair.fourier @ moved) ** 2
-    occupied = int(np.argmax(populations))
+    occupied = int(populations.argmax())
     if occupied == decomp.k % n:
         return 1
     if occupied == (-decomp.k) % n:
@@ -147,7 +147,7 @@ def clock_run(
             gap = float(np.abs(sums - populations).max())
             if gap > 1e-10:
                 raise InternalConsistency(f"tick {j}: Wigner column sums miss |F psi|^2 by {gap:.3e}")
-        occupied = int(np.argmax(populations))
+        occupied = int(populations.argmax())
         expected = (initial_index + sign * j * decomp.k) % n
         if occupied != expected:
             raise InternalConsistency(f"tick {j} occupies site {occupied}, expected {expected}")
@@ -159,7 +159,7 @@ def clock_run(
                 time=j * dtau,
                 occupied_index=occupied,
                 occupied_probability=float(populations[occupied]),
-                max_offsite=float(np.max(offsite)),
+                max_offsite=float(offsite.max()),
             )
         )
         state = tick * state
@@ -196,10 +196,9 @@ def shift_vs_evolution_residual(
     evolved = rho
     for _ in range(n_steps):
         evolved = conjugate_diagonal(evolved, tick)
-    direct_grid = wigner_of_density(basis, evolved)
-
-    shifted_grid = wigner_of_density(basis, rho)
+    # rho is checked above; the evolved state is checked again before its map
+    direct_grid, shifted_grid = map_operator(basis, np.stack((check_density(evolved), rho)))
     for _ in range(n_steps):
         shifted_grid = stroboscopic_step(shifted_grid, decomp.k % n, sign)
 
-    return float(np.max(np.abs(direct_grid - shifted_grid)))
+    return float(np.abs(direct_grid - shifted_grid).max())

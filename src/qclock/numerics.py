@@ -65,13 +65,10 @@ class EigenSystem:
 
 
 def _pivots(vecs: np.ndarray) -> np.ndarray:
-    """Each column's first sizable component, or its largest if none is sizable."""
+    """Each column's first component above the gauge floor: a unit column's largest is >= 1/sqrt(N)."""
     if not vecs.size:  # argmax rejects the empty columns of a 0x0 matrix
         return vecs.diagonal()
-    mags = np.abs(vecs)
-    sizable = mags > _GAUGE_FLOOR
-    rows = np.where(sizable.any(axis=0), sizable.argmax(axis=0), mags.argmax(axis=0))
-    return vecs[rows, np.arange(vecs.shape[1])]
+    return vecs[(np.abs(vecs) > _GAUGE_FLOOR).argmax(axis=0), np.arange(vecs.shape[1])]
 
 
 def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
@@ -127,7 +124,7 @@ def exp_hermitian(a, t: float) -> np.ndarray:
     exp(-i*a*s) exp(-i*a*t) = exp(-i*a*(s+t)).
     """
     es = hermitian_eig(a)
-    phases = np.exp(-1j * es.values * float(t))
+    phases = np.exp(es.values * (-1j * float(t)))
     return (es.vectors * phases) @ es.vectors.conj().T
 
 
@@ -143,13 +140,15 @@ def exchange_phase(d, b, tol: float) -> complex:
         raise DimensionMismatch(f"diagonal operand of shape {d.shape} does not fit {b.shape}")
     # inf * 0 and overflow make NaN and inf silently; the checks below reject both
     with np.errstate(invalid="ignore", over="ignore"):
-        lhs, rhs = d[:, None] * b, b * d
-        idx = int(np.argmax(np.abs(rhs)))  # a NaN or inf anywhere in d or b lands in rhs and wins
+        lhs, rhs = np.multiply(d[:, None], b, dtype=complex), np.multiply(b, d, dtype=complex)
+        idx = int(np.abs(rhs).argmax())  # a NaN or inf anywhere in d or b lands in rhs and wins
         pivot = rhs.flat[idx]
         if pivot == 0 or not np.isfinite(pivot):
             raise NotScalarMultiple(f"b @ diag(d) has no finite nonzero entry to read a phase at (largest {pivot})")
         c = complex(lhs.flat[idx] / pivot)
-        defect = float(np.abs(lhs - c * rhs).max())
+        rhs *= c  # in place: one call holds lhs, rhs and one float array
+        lhs -= rhs
+        defect = float(np.abs(lhs).max())
     if not defect <= tol:
         raise NotScalarMultiple(f"diag(d) @ b is not a scalar multiple of b @ diag(d) (defect {defect:.3e})")
     return c
@@ -196,20 +195,18 @@ def _convergent(x: float, tolerance: tuple, max_denominator: int) -> tuple | Non
     a, b = x.as_integer_ratio()
     c, d = tolerance
     cb = c * b
-    p_prev, p_prev2 = 1, 0
-    q_prev, q_prev2 = 0, 1
+    p, p_prev = 1, 0
+    q, q_prev = 0, 1
     num, den = a, b  # Euclid on a/b: the partial quotients are exact
     while True:
         a0, rem = divmod(num, den)
-        p_cur = a0 * p_prev + p_prev2
-        q_cur = a0 * q_prev + q_prev2
-        if q_cur > max_denominator:
+        p, p_prev = a0 * p + p_prev, p  # the next convergent p/q
+        q, q_prev = a0 * q + q_prev, q
+        if q > max_denominator:
             return None
-        # rem == 0 makes p_cur/q_cur == a/b, which passes: the loop ends
-        if rem * d <= cb * q_cur:
-            return p_cur, q_cur  # consecutive convergents: coprime, q_cur >= 1
-        p_prev, p_prev2 = p_cur, p_prev
-        q_prev, q_prev2 = q_cur, q_prev
+        # rem == 0 makes p/q == a/b, which passes: the loop ends
+        if rem * d <= cb * q:
+            return p, q  # consecutive convergents: coprime, q >= 1
         num, den = den, rem
 
 

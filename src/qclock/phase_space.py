@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, NotADensityMatrix
-from .numerics import hermitian_eig, hermiticity_defect
+from .numerics import HERMITICITY_TOL, hermitian_eig, hermiticity_defect
 from .schwinger import SchwingerPair, build_pair, clock_power, shift_power
 
 DENSITY_HERM_TOL = 1e-10
@@ -90,11 +90,12 @@ def _basis_tensor(pair: SchwingerPair) -> np.ndarray:
     sym = np.arange(-half, half + 1)
 
     weighted = np.empty((n, n, n, n), dtype=np.complex128)
+    shifts = [shift_power(pair, l) for l in sym]
     for a, j in enumerate(sym):
         cj = clock_power(pair, j)
         for b, l in enumerate(sym):
             half_phase = np.exp(1j * np.pi * ((j * l) % (2 * n)) / n)
-            weighted[a, b] = (cj @ shift_power(pair, l)) * half_phase
+            weighted[a, b] = (cj @ shifts[b]) * half_phase
 
     # fourier[m, a] = exp(-2*pi*i*m*sym[a]/N); contract j then l
     fourier = np.exp(-2j * np.pi * (np.outer(np.arange(n), sym) % n) / n)
@@ -146,7 +147,9 @@ def check_density(rho) -> np.ndarray:
     """Validate a density matrix, naming the violated sub-check on failure.
 
     Requires Hermiticity within 1e-10, unit trace within 1e-10, and all
-    eigenvalues >= -1e-10.
+    eigenvalues >= -1e-10.  The eigenvalues are those of (rho + rho^dag)/2.
+    hermitian_eig forms that itself below its 1e-12 gate, and needs none for an
+    exactly Hermitian rho, so rho is symmetrized here only above the gate.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     defect = hermiticity_defect(rho)
@@ -155,8 +158,8 @@ def check_density(rho) -> np.ndarray:
     trace_defect = abs(complex(rho.trace()) - 1.0)
     if trace_defect > DENSITY_TRACE_TOL:
         raise NotADensityMatrix(f"trace differs from 1 by {trace_defect:.3e}")
-    # symmetrize: the 1e-10 hermiticity allowance exceeds the eigensolver's gate
-    smallest = float(hermitian_eig(0.5 * (rho + rho.conj().T), vectors=False).values[0])
+    work = rho if defect <= HERMITICITY_TOL else 0.5 * (rho + rho.conj().T)
+    smallest = float(hermitian_eig(work, vectors=False).values[0])
     if smallest < DENSITY_EIG_FLOOR:
         raise NotADensityMatrix(f"negative eigenvalue {smallest:.3e}")
     return rho

@@ -68,9 +68,10 @@ def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
 
 
 def shift_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
-    """shift**exponent, any integer exponent, reduced mod N (exact 0/1 matrix)."""
-    e = exponent % pair.dim
-    return np.eye(pair.dim, dtype=np.complex128)[(np.arange(pair.dim) + e) % pair.dim]
+    """shift**exponent, any integer exponent, reduced mod N (exact 0/1 matrix): row r is e_{r+exponent}."""
+    out = np.zeros((pair.dim, pair.dim), dtype=np.complex128)
+    out[np.arange(pair.dim), (np.arange(pair.dim) + exponent % pair.dim) % pair.dim] = 1
+    return out
 
 
 def shift_eigenvector(pair: SchwingerPair, k: int) -> np.ndarray:

@@ -28,9 +28,8 @@ formed from the energies reduced exactly, in integers, before any float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -64,28 +63,33 @@ class Spectrum:
 
     dim: int
     energies: tuple
+    # each energy as its coprime (p, q), q > 0, read once here for the gate and the float reads
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_odd_prime(self.dim)
         # a tuple of Fractions of Python ints, the common case, is kept without a copy
-        energies = tuple(self.energies)
+        energies, pairs = tuple(self.energies), []
         for e in energies:
             if type(e) is Fraction:
                 p, q = e.as_integer_ratio()  # one call, where .numerator and .denominator make two
                 if type(p) is int and type(q) is int:
+                    pairs.append((p, q))
                     continue
             energies = tuple(map(_exact_fraction, energies))
+            pairs = [e.as_integer_ratio() for e in energies]
             break
         _require_length(self.dim, energies)
         if energies is not self.energies:
             object.__setattr__(self, "energies", energies)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     def as_floats(self) -> np.ndarray:
         """The energies in float64; OverflowError names the first that does not fit."""
         out = np.empty(self.dim)
-        for m, e in enumerate(self.energies):
+        for m, (p, q) in enumerate(self.pairs):
             try:
-                out[m] = e.numerator / e.denominator  # float(e), without the ABC dispatch
+                out[m] = p / q  # float(e), without the ABC dispatch
             except OverflowError:
                 raise OverflowError(f"energy {m} is beyond the float64 range") from None
         return out
@@ -159,16 +163,20 @@ class SpectrumDecomposition:
             raise IncompatibleSpectrum("the tick 2*pi/(N*omega) is not a finite positive float64")
         return dtau
 
-    @cached_property
+    @property
     def tick_energies(self) -> np.ndarray:
-        """E_m mod N*omega = omega*((k*m) mod N) in float64, computed on first use.
+        """E_m mod N*omega = omega*((k*m) mod N) in float64: one read-only array, made on the first read.
 
-        Equal bit for bit to reduce_mod_period(self.energies(), ...): int true
-        division rounds the exact ratio correctly, as float(Fraction) does.
+        Kept without the lock functools.cached_property takes on a first read.  Equal bit
+        for bit to reduce_mod_period(self.energies(), ...): int true division rounds the
+        exact ratio correctly, as float(Fraction) does.
         """
-        p, q = self.omega.numerator, self.omega.denominator
-        reduced = np.array([p * (self.k * m % self.dim) / q for m in range(self.dim)])
-        reduced.setflags(write=False)
+        reduced = self.__dict__.get("_tick_energies")
+        if reduced is None:
+            (p, q), k, n = self.omega.as_integer_ratio(), self.k, self.dim
+            reduced = np.array([p * (k * m % n) / q for m in range(n)])
+            reduced.setflags(write=False)
+            object.__setattr__(self, "_tick_energies", reduced)
         return reduced
 
     def tick_phases(self, j: int) -> np.ndarray:
@@ -190,11 +198,9 @@ class SpectrumDecomposition:
         """Whether spec's energies are exactly omega*(k*m + N*f[m]), in integers."""
         if self.dim != spec.dim:
             return False
-        p, q = self.omega.numerator, self.omega.denominator
-        return all(
-            e.numerator * q == p * (self.k * m + self.dim * f_m) * e.denominator
-            for m, (e, f_m) in enumerate(zip(spec.energies, self.f))
-        )
+        (p, q), k, n = self.omega.as_integer_ratio(), self.k, self.dim
+        terms = enumerate(zip(spec.pairs, self.f))
+        return all(a * q == p * (k * m + n * f_m) * b for m, ((a, b), f_m) in terms)
 
 
 @dataclass(frozen=True)
@@ -235,8 +241,7 @@ def decompose_spectrum(spec: Spectrum) -> DecompositionResult:
     trivial k = 0 would fit, and the residues then cannot cover all classes
     mod N.
     """
-    energies = spec.energies
-    return _decompose(spec.dim, [e.numerator for e in energies], [e.denominator for e in energies])
+    return _decompose(spec.dim, *zip(*spec.pairs))
 
 
 def _decompose(n: int, nums, dens) -> DecompositionResult:
@@ -251,22 +256,23 @@ def _decompose(n: int, nums, dens) -> DecompositionResult:
 
     g = math.gcd(*scaled)
     ratios = [a // g for a in scaled]
-    residues = tuple(r % n for r in ratios)
-    if residues[0] != 0:
-        return _not_linear(n, residues, 0)
-    k = residues[1]
+    if ratios[0] % n:
+        return _not_linear(n, ratios, 0)
+    k = ratios[1] % n
     if k == 0:
-        return _not_linear(n, residues, 1)
-    for m in range(2, n):
-        if residues[m] != (k * m) % n:
-            return _not_linear(n, residues, m)
+        return _not_linear(n, ratios, 1)
+    # one pass: r_m = k*m + N*f(m) with remainder 0 exactly when residue m is k*m mod N
+    f = []
+    for m, r in enumerate(ratios):
+        f_m, rem = divmod(r - k * m, n)
+        if rem:
+            return _not_linear(n, ratios, m)
+        f.append(f_m)
+    return SpectrumDecomposition(dim=n, omega=Fraction(g, den), k=k, f=tuple(f))
 
-    f = tuple((ratios[m] - k * m) // n for m in range(n))
-    assert all((ratios[m] - k * m) % n == 0 for m in range(n))
-    return SpectrumDecomposition(dim=n, omega=Fraction(g, den), k=k, f=f)
 
-
-def _not_linear(n: int, residues: tuple, first_bad: int) -> IncompatibilityCertificate:
+def _not_linear(n: int, ratios: list, first_bad: int) -> IncompatibilityCertificate:
+    residues = tuple([r % n for r in ratios])
     return IncompatibilityCertificate(
         reason=RESIDUES_NOT_LINEAR,
         residues=residues,

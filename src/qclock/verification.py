@@ -100,12 +100,9 @@ def random_density(rng, dim: int) -> np.ndarray:
 _PERTURBATION = math.sqrt(2.0) * 1e-3
 
 
-def _compatible_spectrum(dim: int, k: int, f, num: int, den: int):
-    """The spectrum omega*(k*m + dim*f[m]) with omega = num/den; returns (spectrum, omega)."""
-    omega = Fraction(num, den)
-    p, q = omega.numerator, omega.denominator
-    energies = tuple(Fraction(p * (k * m + dim * f[m]), q) for m in range(dim))
-    return Spectrum(dim=dim, energies=energies), omega
+def _compatible_spectrum(dim: int, k: int, f, num: int, den: int) -> Spectrum:
+    """The spectrum omega*(k*m + dim*f[m]) with omega = num/den, each energy one Fraction."""
+    return Spectrum(dim=dim, energies=tuple([Fraction(num * (k * m + dim * f[m]), den) for m in range(dim)]))
 
 
 def random_compatible_spectrum(rng, dim: int):
@@ -113,8 +110,7 @@ def random_compatible_spectrum(rng, dim: int):
     k = int(rng.integers(1, dim))
     f = rng.integers(-20, 21, size=dim).tolist()
     num, den = int(rng.integers(1, 13)), int(rng.integers(1, 13))
-    spec, omega = _compatible_spectrum(dim, k, f, num, den)
-    return spec, k, f, omega
+    return _compatible_spectrum(dim, k, f, num, den), k, f, Fraction(num, den)
 
 
 def _gate_trials(rng, dim: int, trials: int) -> list:
@@ -131,7 +127,7 @@ def _gate_trials(rng, dim: int, trials: int) -> list:
     out = []
     for t in range(0, trials * width, width):
         k, *f, num, den, index = draws[t : t + width]
-        out.append((_compatible_spectrum(dim, k, f, num, den)[0], index))
+        out.append((_compatible_spectrum(dim, k, f, num, den), index))
     return out
 
 
@@ -145,13 +141,11 @@ def skewed_spectrum(dim: int) -> Spectrum:
     return Spectrum(dim=dim, energies=tuple(2 * m + dim * ((m % 3) - 1) for m in range(dim)))
 
 
-def _offsite_after(pair, spec: Spectrum, t: float) -> float:
-    """Max population outside the dominant Fourier-sector site after evolving |s_0>."""
-    state = spec.phases(t) * shift_eigenvector(pair, 0)
-    populations = np.abs(pair.fourier @ state) ** 2
-    occupied = int(np.argmax(populations))
-    populations[occupied] = -np.inf
-    return float(np.max(populations))
+def _offsite_after(pair, spec: Spectrum, times) -> float:
+    """Least over the times of the max population outside the dominant Fourier site, from |s_0>."""
+    states = np.array([spec.phases(t) for t in times]) * shift_eigenvector(pair, 0)
+    # each row's second largest is its offsite maximum, also when it ties the dominant site
+    return float(np.sort(np.abs(states @ pair.fourier.T) ** 2, axis=1)[:, -2].min())
 
 
 def measure_signs(pair, decomp: SpectrumDecomposition | None = None) -> dict:
@@ -203,7 +197,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         p = int(rng.integers(-1000 * q, 1000 * q + 1))
         r = rationalize(p / q, DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
         g = math.gcd(p, q)  # p/q in lowest terms: p//g, q//g
-        if r.numerator != p // g or r.denominator != q // g:
+        if r.as_integer_ratio() != (p // g, q // g):
             failures += 1
     checks.append(_upper("rationalize-roundtrip", failures, 0.0))
 
@@ -275,8 +269,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
             id_failures += 1
             continue
         # E_m/omega in integers, from the energies alone (not from k and f)
-        p, q = result.omega.numerator, result.omega.denominator
-        ratios = [e.numerator * q // (e.denominator * p) for e in spec.energies]
+        p, q = result.omega.as_integer_ratio()
+        ratios = [a * q // (b * p) for a, b in spec.pairs]
         if rational_gcd([r for r in ratios if r != 0]) != 1:
             gcd_failures += 1
         ticks.append(result.tick_phases(1))
@@ -380,11 +374,11 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
 
     # negative controls: between ticks and for an incommensurate ladder the
     # state is never confined to one site
-    half_tick = _offsite_after(pair, harmonic, d_harm.delta_tau / 2.0)
+    half_tick = _offsite_after(pair, harmonic, [d_harm.delta_tau / 2.0])
     checks.append(_lower("control-half-tick-offsite", half_tick, 0.01))
     squares = Spectrum(dim=n, energies=tuple(m * m for m in range(n)))
     scan = [2.0 * np.pi * j / 40.0 for j in range(1, 40)]
-    scanned = min(_offsite_after(pair, squares, t) for t in scan)
+    scanned = _offsite_after(pair, squares, scan)
     checks.append(_lower("control-incompatible-scan", scanned, 0.01))
 
     checks.sort(key=lambda chk: chk.name)

@@ -452,6 +452,11 @@ def test_rationalize_max_denominator_one():
         rationalize(2.5, 0.25, 1)
 
 
+def test_rationalize_accepts_a_distance_equal_to_the_tolerance():
+    # 1/1 is exactly 0.25 from 0.75: within tolerance, so a strict comparison would raise
+    assert rationalize(0.75, 0.25, 1) == 1
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.one_of(

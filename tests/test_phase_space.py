@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,17 +11,22 @@ from qclock import (
     DimensionMismatch,
     NoConvergence,
     NotADensityMatrix,
+    NotHermitian,
     Spectrum,
     build_basis,
     check_density,
     clock_power,
     clock_run,
     decompose_spectrum,
+    hermitian_eig,
     map_operator,
+    measure_shift_sign,
     shift_eigenvector,
+    shift_vs_evolution_residual,
     unmap_grid,
     wigner_of_density,
 )
+from qclock.dynamics import conjugate_diagonal
 from conftest import cached_basis, cached_pair
 
 
@@ -213,6 +219,15 @@ def test_check_density_eigenvalue_floor():
         check_density(np.diag([1.0 + 2e-10, -2e-10, 0.0]))
 
 
+def test_check_density_names_the_eigenvalue_of_a_huge_finite_matrix():
+    # exactly Hermitian, so it is not symmetrized: rho + rho^dag would overflow to inf
+    rho = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotADensityMatrix, match="negative eigenvalue"):
+            check_density(rho)
+
+
 def test_check_density_lapack_failure_is_no_convergence(monkeypatch):
     def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -220,6 +235,137 @@ def test_check_density_lapack_failure_is_no_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     with pytest.raises(NoConvergence, match="did not converge"):
         check_density(np.eye(3) / 3)
+
+
+# --- the density and eigen guards against reference copies ---------------------
+#
+# The references take every step: check_density symmetrizes each matrix before
+# its eigenvalues, the pivots fall back to a column's largest entry (which no
+# unit column needs), and the shift-vs-evolution residual checks rho again
+# before its map and rolls the grid.  On every input the guards must give the
+# same verdict, the same message and the same bits.
+
+
+def reference_pivots(vecs):
+    if not vecs.size:
+        return vecs.diagonal()
+    mags = np.abs(vecs)
+    sizable = mags > 1e-8
+    rows = np.where(sizable.any(axis=0), sizable.argmax(axis=0), mags.argmax(axis=0))
+    return vecs[rows, np.arange(vecs.shape[1])]
+
+
+def reference_hermitian_eig(a, vectors=True):
+    arr = np.asarray(a, dtype=np.complex128)
+    defect = float(np.abs(arr - arr.conj().T).max())
+    if defect > 1e-12:
+        raise NotHermitian(f"max |A - A^dag| = {defect:.3e} exceeds 1e-12")
+    work = 0.5 * (arr + arr.conj().T) if defect else arr
+    if not vectors:
+        return np.linalg.eigvalsh(work), None
+    values, vecs = np.linalg.eigh(work)
+    scale = max(1.0, float(np.abs(work).max()))
+    pivots = reference_pivots(vecs)
+    vecs = np.multiply(vecs, np.conj(pivots) / np.hypot(pivots.real, pivots.imag), order="F")
+    splits = values[1:] - values[:-1] > 1e-10 * scale
+    if not splits.all():
+        cluster = np.concatenate(([0], np.cumsum(splits)))
+        order = np.lexsort((reference_pivots(vecs).real, cluster))
+        values, vecs = values[order], vecs[:, order]
+    return values, vecs
+
+
+def reference_check_density(rho):
+    rho = np.asarray(rho, dtype=np.complex128)
+    defect = float(np.abs(rho - rho.conj().T).max())
+    if defect > 1e-10:
+        raise NotADensityMatrix(f"not Hermitian: max |rho - rho^dag| = {defect:.3e}")
+    trace_defect = abs(complex(rho.trace()) - 1.0)
+    if trace_defect > 1e-10:
+        raise NotADensityMatrix(f"trace differs from 1 by {trace_defect:.3e}")
+    smallest = float(reference_hermitian_eig(0.5 * (rho + rho.conj().T), vectors=False)[0][0])
+    if smallest < -1e-10:
+        raise NotADensityMatrix(f"negative eigenvalue {smallest:.3e}")
+    return rho
+
+
+def reference_shift_vs_evolution_residual(pair, basis, decomp, rho, n_steps):
+    rho = reference_check_density(rho)
+    sign = measure_shift_sign(pair, decomp)
+    evolved = rho
+    for _ in range(n_steps):
+        evolved = conjugate_diagonal(evolved, decomp.tick_phases(1))
+    direct_grid = map_operator(basis, reference_check_density(evolved))
+    shifted_grid = map_operator(basis, reference_check_density(rho))
+    for _ in range(n_steps):
+        shifted_grid = np.roll(shifted_grid, sign * decomp.k, axis=1)
+    return float(np.max(np.abs(direct_grid - shifted_grid)))
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 -- the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def same_outcome(got, want):
+    if isinstance(want, tuple) and want and isinstance(want[0], type):
+        return got == want
+    if isinstance(want, tuple):  # eigen pairs: (values, vectors or None)
+        return all(same_outcome(g, w) for g, w in zip(got, want))
+    if want is None or isinstance(want, float):
+        return got == want or repr(got) == repr(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def near_densities(draw):
+    """Densities with the smallest eigenvalue near -1e-10, made non-Hermitian by 0 to about 2e-10."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    smallest = draw(st.sampled_from([0.0, 1e-3, -5e-11, -9.9e-11, -1e-10, -1.01e-10, -2e-10, -1e-6]))
+    levels = rng.uniform(0.0, 1.0, size=n)
+    levels[0] = smallest
+    if n > 1:
+        levels[1:] *= (1.0 - smallest) / levels[1:].sum()
+    basis_kind = draw(st.sampled_from(["unitary", "diagonal", "real"]))
+    if basis_kind == "unitary":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    elif basis_kind == "real":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    else:
+        q = np.eye(n)
+    rho = (q * levels) @ q.conj().T
+    hermiticity = draw(st.sampled_from(["exact", "as-built", 1e-13, 1e-12, 6e-13, 1e-11, 5e-11, 1e-10, 2e-10]))
+    if hermiticity == "exact":
+        rho = 0.5 * (rho + rho.conj().T)
+    elif hermiticity != "as-built":
+        noise = rng.uniform(-1.0, 1.0, size=(n, n)) + 1j * rng.uniform(-1.0, 1.0, size=(n, n))
+        rho = rho + 0.5 * hermiticity * noise
+    return rho + np.eye(n) * draw(st.sampled_from([0.0, 0.0, 0.0, 3e-11, 2e-10])) / n
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(near_densities())
+def test_density_and_eigen_guards_equal_their_reference_code(rho):
+    assert same_outcome(outcome(check_density, rho), outcome(reference_check_density, rho))
+    for vectors in (True, False):
+        want = outcome(reference_hermitian_eig, rho, vectors=vectors)
+        got = outcome(hermitian_eig, rho, vectors=vectors)
+        if not isinstance(got, tuple):
+            got = (got.values, got.vectors)
+        assert same_outcome(got, want)
+    n = rho.shape[0]
+    if n in (3, 5):
+        pair, basis = cached_pair(n), cached_basis(n)
+        spec = Spectrum(n, tuple(2 * m + n * ((m % 3) - 1) for m in range(n)))
+        decomp = decompose_spectrum(spec)
+        for n_steps in (0, 1, n):
+            want = outcome(reference_shift_vs_evolution_residual, pair, basis, decomp, rho, n_steps)
+            got = outcome(shift_vs_evolution_residual, pair, basis, decomp, spec, rho, n_steps)
+            assert same_outcome(got, want)
 
 
 def map_by_elements(basis, op):

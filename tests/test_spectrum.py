@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -198,6 +199,10 @@ def test_spectrum_converts_only_non_fractions():
     assert spec.energies == (0, Fraction(1, 2), Fraction(3, 4))
     assert all(type(e) is Fraction for e in spec.energies)
     assert spec.energies[1] is half
+    # the integer pairs are read once, take no part in equality, and follow a replace
+    assert spec.pairs == ((0, 1), (1, 2), (3, 4))
+    assert spec == Spectrum(3, (Fraction(0), half, Fraction(3, 4)))
+    assert dataclasses.replace(spec, energies=(1, "-2/6", 3)).pairs == ((1, 1), (-1, 3), (3, 1))
 
 
 # --- Hypothesis properties of the exact gate ------------------------------
@@ -378,7 +383,11 @@ def large_decompositions(draw):
 @given(st.one_of(clock_spectra().map(decompose_spectrum), large_decompositions()))
 def test_tick_energies_are_the_energies_reduced_mod_the_period(dec):
     want = reduce_mod_period(dec.energies(), dec.omega, dec.dim)
-    assert dec.tick_energies.tobytes() == want.tobytes()
+    first = dec.tick_energies
+    assert first.tobytes() == want.tobytes()
+    # computed once and kept: a second read is the same read-only array
+    assert dec.tick_energies is first
+    assert not first.flags.writeable
 
 
 # --- the float front end and the float reads --------------------------------
@@ -530,6 +539,8 @@ def test_numpy_integers_decide_like_their_python_twins(case):
     spec = Spectrum(n, tuple(entries))
     assert spec.energies == twins
     assert all(type(e.numerator) is int and type(e.denominator) is int for e in spec.energies)
+    assert spec.pairs == tuple(e.as_integer_ratio() for e in twins)
+    assert all(type(p) is int and type(q) is int for p, q in spec.pairs)
     for got in (decompose_spectrum(spec), analyze_float_spectrum(entries, n, 1e-9, 10**6)):
         assert_same_outcome(got, want)
         if isinstance(got, SpectrumDecomposition):
