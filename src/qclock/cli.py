@@ -48,7 +48,7 @@ EXIT_INTERNAL = 5
 _VERIFY_DIM_CAP = 31  # runtime guard for the verify suite
 _SPECTRUM_DIM_CAP = 1009  # N x N complex matrices: ~0.18 GB peak at the cap
 _MAX_STEPS = 100_000  # clock ticks; time and memory grow linearly with them
-_RATIO_RE = re.compile(r"^[+-]?\d+/\d+$")
+_RATIO_RE = re.compile(r"[+-]?[0-9]+/[0-9]+")
 
 
 class SpectrumFileError(QClockError):
@@ -182,7 +182,7 @@ def load_spectrum_file(path: str) -> dict:
         if isinstance(entry, bool):
             raise SpectrumFileError(f"energies[{i}] must be a number or 'p/q' string")
         if isinstance(entry, str):
-            if not _RATIO_RE.match(entry):
+            if not _RATIO_RE.fullmatch(entry):
                 raise SpectrumFileError(f"energies[{i}] is not a 'p/q' string: {entry!r}")
             parts = [_parse_int(part) for part in entry.split("/")]
             for part in parts:
@@ -387,7 +387,7 @@ def cmd_clock(args) -> int:
 def _parse_state(text: str, n: int):
     if text == "mixed":
         return ("mixed", None)
-    match = re.match(r"^([uv]):(\d+)$", text)
+    match = re.fullmatch(r"([uv]):([0-9]+)", text)
     if not match:
         raise SpectrumFileError(
             f"--state must be 'v:INT', 'u:INT', or 'mixed', got {text!r}"
@@ -443,11 +443,11 @@ def cmd_wigner(args) -> int:
         _emit(_dump_json(report))
     else:
         lines = ["m\\n," + ",".join(str(c) for c in range(n))]
-        for m in range(n):
-            if real_ok:
-                cells = [_fmt12(x) for x in grid[m].real]
+        for m, row in enumerate(grid.real if real_ok else grid):
+            if real_ok:  # one format call per row of Python floats: the text of _fmt12 per cell
+                cells = map("{:.12g}".format, row.tolist())
             else:
-                cells = [f"{_fmt12(x.real)}{'+' if x.imag >= 0 else '-'}{_fmt12(abs(x.imag))}j" for x in grid[m]]
+                cells = [f"{_fmt12(x.real)}{'+' if x.imag >= 0 else '-'}{_fmt12(abs(x.imag))}j" for x in row]
             lines.append(f"{m}," + ",".join(cells))
         _emit("\n".join(lines))
     if not real_ok:

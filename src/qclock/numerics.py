@@ -1,9 +1,9 @@
-"""Dense complex linear algebra and exact rational helpers.
+"""Complex linear algebra and exact rational helpers.
 
 All functions are pure and never mutate their inputs, so concurrent use is
-safe.  Matrices are plain ``numpy`` arrays of ``complex128``; exact rational
-values are ``fractions.Fraction`` (arbitrary precision, always in lowest
-terms).
+safe.  Matrices are plain ``numpy`` arrays of ``complex128``, and a circulant
+operand is its column 0; exact rational values are ``fractions.Fraction``
+(arbitrary precision, always in lowest terms).
 """
 
 from __future__ import annotations
@@ -128,29 +128,50 @@ def exp_hermitian(a, t: float) -> np.ndarray:
     return (es.vectors * phases) @ es.vectors.conj().T
 
 
-def exchange_phase(d, b, tol: float) -> complex:
-    """The scalar c with D @ b = c * (b @ D) for D = diag(d), read at the largest entry of b @ D.
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The N x N matrix with entry (r, s) = column[(r - s) mod N]."""
+    n = column.size
+    doubled = np.concatenate((column, column))
+    step = doubled.itemsize
+    # entry (r, s) is doubled[n + r - s]: a view that steps +1 down a column and -1
+    # along a row, which numpy checks against the buffer; copied to own its memory
+    return np.ndarray((n, n), doubled.dtype, doubled, n * step, (step, -step)).copy()
 
-    Every entry is checked: one off by more than tol, a NaN anywhere, or a
-    b @ D that vanishes raises NotScalarMultiple, which signals a bug, not a
-    domain condition.
+
+def exchange_phase(d, w, tol: float) -> complex:
+    """The scalar c with D @ C = c * (C @ D) for D = diag(d) and C[r, s] = w[(r - s) mod N].
+
+    Read at the largest entry of C @ D and checked at every entry: one off by more
+    than tol, a NaN anywhere, or a C @ D that vanishes raises NotScalarMultiple (a
+    bug).  Only the lags where w is nonzero are formed, O(N) each; both products
+    are exactly zero at the rest, so reading and check are those of the dense ones.
     """
-    d = np.asarray(d)
-    if d.ndim != 1 or d.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"diagonal operand of shape {d.shape} does not fit {b.shape}")
+    d, w = np.asarray(d), np.asarray(w)
+    if d.ndim != 1 or w.shape != d.shape:
+        raise DimensionMismatch(f"diagonal of shape {d.shape} does not fit circulant column of shape {w.shape}")
+    lags = w.nonzero()[0]
+    if not lags.size:
+        raise NotScalarMultiple("the circulant operand is zero: no entry to read a phase at")
+    cols = np.arange(d.size)[:, None] - lags  # row r holds (r, r - lag_i); d[cols] wraps it mod N
     # inf * 0 and overflow make NaN and inf silently; the checks below reject both
     with np.errstate(invalid="ignore", over="ignore"):
-        lhs, rhs = np.multiply(d[:, None], b, dtype=complex), np.multiply(b, d, dtype=complex)
-        idx = int(np.abs(rhs).argmax())  # a NaN or inf anywhere in d or b lands in rhs and wins
-        pivot = rhs.flat[idx]
+        wl = w[lags]
+        # rhs first, so that the gather d[cols] is freed before lhs is made
+        rhs, lhs = np.multiply(wl, d[cols], dtype=complex), np.multiply(d[:, None], wl, dtype=complex)
+        size = np.abs(rhs)  # a NaN or inf anywhere in d or among w's lags lands in rhs and wins
+        r, i = divmod(int(size.argmax()), lags.size)  # the first row with the largest entry, as dense
+        if np.count_nonzero(size[r] == size[r, i]) > 1:  # a tie in that row: dense reads the least s
+            order = np.argsort(cols[r] % d.size)
+            i = order[size[r, order].argmax()]
+        pivot = rhs[r, i]
         if pivot == 0 or not np.isfinite(pivot):
-            raise NotScalarMultiple(f"b @ diag(d) has no finite nonzero entry to read a phase at (largest {pivot})")
-        c = complex(lhs.flat[idx] / pivot)
-        rhs *= c  # in place: one call holds lhs, rhs and one float array
+            raise NotScalarMultiple(f"C @ diag(d) has no finite nonzero entry to read a phase at (largest {pivot})")
+        c = complex(lhs[r, i] / pivot)
+        rhs *= c  # in place: one call holds lhs, rhs, cols and one float array
         lhs -= rhs
-        defect = float(np.abs(lhs).max())
+        defect = float(np.abs(lhs, out=size).max())
     if not defect <= tol:
-        raise NotScalarMultiple(f"diag(d) @ b is not a scalar multiple of b @ diag(d) (defect {defect:.3e})")
+        raise NotScalarMultiple(f"diag(d) @ C is not a scalar multiple of C @ diag(d) (defect {defect:.3e})")
     return c
 
 

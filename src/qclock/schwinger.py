@@ -3,7 +3,8 @@
 Labels run over 0..N-1 with mod-N arithmetic; the diagonal (clock) basis is
 the computational basis, so every matrix in the package is expressed in it.
 The two eigenbases are linked by the discrete Fourier transform and the pair
-obeys a scalar-phase exchange rule whose sign is *measured*, never assumed.
+obeys a scalar-phase exchange rule whose sign is *measured*, never assumed:
+each shift power is circulant, and the phase is read from its column in O(N).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionNotOddPrime, IndexOutOfRange, NotScalarMultiple
-from .numerics import exchange_phase, is_odd_prime
+from .numerics import _circulant, exchange_phase, is_odd_prime
 
 _SCALAR_TOL = 1e-12
 
@@ -67,11 +68,16 @@ def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
     return np.diag(clock_diagonal(pair, exponent))
 
 
+def _shift_column(dim: int, exponent: int) -> np.ndarray:
+    """Column 0 of shift**exponent, which is circulant: e_{-exponent mod N}, exact 0/1."""
+    out = np.zeros(dim, dtype=np.complex128)
+    out[-exponent % dim] = 1
+    return out
+
+
 def shift_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
     """shift**exponent, any integer exponent, reduced mod N (exact 0/1 matrix): row r is e_{r+exponent}."""
-    out = np.zeros((pair.dim, pair.dim), dtype=np.complex128)
-    out[np.arange(pair.dim), (np.arange(pair.dim) + exponent % pair.dim) % pair.dim] = 1
-    return out
+    return _circulant(_shift_column(pair.dim, exponent))
 
 
 def shift_eigenvector(pair: SchwingerPair, k: int) -> np.ndarray:
@@ -92,7 +98,7 @@ def commutation_phase(pair: SchwingerPair, j: int, l: int) -> complex:
     entrywise to 1e-12; a validation failure raises NotScalarMultiple (which
     would indicate a bug, not a physical condition).  |c| = 1 always.
     """
-    return exchange_phase(clock_diagonal(pair, j), shift_power(pair, l), _SCALAR_TOL)
+    return exchange_phase(clock_diagonal(pair, j), _shift_column(pair.dim, l), _SCALAR_TOL)
 
 
 def measure_commutation_sign(pair: SchwingerPair) -> int:

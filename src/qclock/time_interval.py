@@ -8,7 +8,7 @@ built on the shift eigenvectors |s_l>, generates cyclic shifts in the
 energy ladder: exp(-i*T*(E_{m+s} - E_m)) equals shift^(-k*s) because the
 integer f-part only contributes full turns of phase.  Its exponentials and
 the propagator exchange with a scalar phase exp(sigma*2*pi*i*n*j*k^2/N)
-whose sign sigma is measured from the matrices, never assumed.
+whose sign sigma is measured from T's circulant columns, never assumed.
 
 T is diagonal in the Fourier-dual basis while the Hamiltonian is diagonal
 in the clock basis, so the two eigenbases are mutually unbiased.
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency
-from .numerics import exchange_phase
+from .numerics import _circulant, exchange_phase
 from .phase_space import OperatorBasis, map_operator
-from .schwinger import SchwingerPair
+from .schwinger import SchwingerPair, _shift_column
 from .spectrum import Spectrum, SpectrumDecomposition, reduce_mod_period
 
 _SCALAR_TOL = 1e-10
@@ -57,16 +57,6 @@ def _exp_column(top: TimeIntervalOperator, t: float) -> np.ndarray:
     """Column 0 of exp(-i*T*t): entry d is (1/N) sum_l exp(-i*dtau*l*t) z^(l*d), z = exp(2*pi*i/N)."""
     conj_phases = np.exp(top.eigenvalues * (1j * float(t)))
     return np.conj(conj_phases @ top.fourier) / math.sqrt(top.dim)
-
-
-def _circulant(column: np.ndarray) -> np.ndarray:
-    """The N x N matrix with entry (r, s) = column[(r - s) mod N]."""
-    n = column.size
-    doubled = np.concatenate((column, column))
-    step = doubled.itemsize
-    # entry (r, s) is doubled[n + r - s]: a view that steps +1 down a column and -1
-    # along a row, which numpy checks against the buffer; copied to own its memory
-    return np.ndarray((n, n), doubled.dtype, doubled, n * step, (step, -step)).copy()
 
 
 def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> TimeIntervalOperator:
@@ -109,10 +99,8 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
         raise DimensionMismatch(f"spectrum dim {spec.dim} != operator dim {n}")
     if not 0 <= s < n:
         raise ValueError(f"gap s={s} outside 0..{n - 1}")
-    # exp(-i*T*t) and shift^(-k*s) are both circulant, so their largest gap over the
-    # matrix is the largest over one column; that of shift^(-k*s) is e_{k*s mod N}
-    reference = np.zeros(n)
-    reference[top.decomp.k * s % n] = 1.0
+    # exp(-i*T*t) and shift^(-k*s) are circulant: their largest gap is the largest over one column
+    reference = _shift_column(n, -top.decomp.k * s)
     reduced = reduce_mod_period(spec.energies, top.decomp.omega, n)
     worst = 0.0
     for m in range(n - s):
@@ -139,8 +127,7 @@ def verify_weyl_pair(
         raise IndexOutOfRange(f"ladder index {j} outside 0..{top.dim - 1}")
 
     reduced = decomp.tick_energies  # T's eigenvalues are multiples of the tick
-    wexp = top.exp(reduced[j] - reduced[0])
-    return exchange_phase(decomp.tick_phases(n), wexp, _SCALAR_TOL)
+    return exchange_phase(decomp.tick_phases(n), _exp_column(top, reduced[j] - reduced[0]), _SCALAR_TOL)
 
 
 def measure_weyl_sign(top: TimeIntervalOperator, decomp: SpectrumDecomposition) -> int:

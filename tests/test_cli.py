@@ -150,6 +150,9 @@ def test_bad_dimension_exit_code(tmp_path):
         ({"n": 3, "energies": [0, 1, "1/0"]}, "energies[2]"),
         ({"n": 3, "energies": [0, 1, "x/y"]}, "energies[2]"),
         ({"n": 3, "energies": [0, True, 2]}, "energies[1]"),
+        # a ratio is the whole string, in ASCII digits
+        ({"n": 3, "energies": [0, 1, "1/2\n"]}, "energies[2]"),
+        ({"n": 3, "energies": [0, 1, "\u0661/\u0661"]}, "energies[2]"),
     ],
 )
 def test_malformed_files_name_the_field(tmp_path, payload, needle):
@@ -325,11 +328,27 @@ def test_wigner_requires_exactly_one_of_time_step():
     )
 
 
-@pytest.mark.parametrize("state", ["w:1", "v:" + "1" * 5000], ids=["bad-kind", "index-beyond-int-digits"])
+@pytest.mark.parametrize(
+    "state",
+    ["w:1", "v:" + "1" * 5000, "v:\u0662", "v:1\n"],
+    ids=["bad-kind", "index-beyond-int-digits", "non-ascii-digit", "trailing-newline"],
+)
 def test_wigner_bad_state_is_malformed(state):
     proc = run_cli("wigner", "--spectrum", HARMONIC, "--state", state, "--time", "0")
     assert proc.returncode == 2
     assert "--state" in proc.stderr
+
+
+def test_wigner_csv_is_the_per_cell_fmt12_text(monkeypatch, capsys):
+    from qclock import cli
+
+    edges = [0.0, -0.0, 1e-300, -1e300, 5e-324]
+    grid = np.random.default_rng(3).normal(size=(5, 5)) * np.logspace(-8, 8, 5)
+    grid[0], grid[:, 4] = edges, edges
+    monkeypatch.setattr(cli, "wigner_of_density", lambda basis, rho: grid.astype(complex))
+    assert cli.main(["wigner", "--spectrum", HARMONIC, "--state", "v:0", "--time", "0"]) == 0
+    lines = ["m\\n,0,1,2,3,4"] + [f"{m}," + ",".join(cli._fmt12(x) for x in row) for m, row in enumerate(grid)]
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
 def test_verify_n3_reports_and_exit():

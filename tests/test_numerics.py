@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -20,7 +21,8 @@ from qclock import (
     rational_gcd,
     rationalize,
 )
-from qclock.schwinger import build_pair, clock_power, shift_power
+from qclock.numerics import _circulant
+from qclock.schwinger import build_pair, clock_power, commutation_phase, shift_power
 from conftest import count_fraction_constructions
 
 
@@ -521,20 +523,34 @@ def test_exchange_phase_of_clock_and_shift_powers():
     pair = build_pair(5)
     for j in range(5):
         for l in range(5):
-            c = exchange_phase(clock_power(pair, j).diagonal(), shift_power(pair, l), 1e-12)
+            c = exchange_phase(clock_power(pair, j).diagonal(), shift_power(pair, l)[:, 0], 1e-12)
             assert abs(c - np.exp(-2j * np.pi * j * l / 5)) < 1e-12
 
 
 def test_exchange_phase_rejects_a_non_scalar_pair():
     with pytest.raises(NotScalarMultiple):
-        exchange_phase(np.array([1.0, 2.0, 3.0]), shift_power(build_pair(3), 1), 1e-10)
+        exchange_phase(np.array([1.0, 2.0, 3.0]), shift_power(build_pair(3), 1)[:, 0], 1e-10)
 
 
-def dense_exchange_reading(d, b):
-    """The reading exchange_phase made from the dense products diag(d) @ b and b @ diag(d)."""
-    lhs, rhs = np.diag(d) @ b, b @ np.diag(d)
-    idx = int(np.argmax(np.abs(rhs)))
-    return complex(lhs.flat[idx] / rhs.flat[idx])
+def dense_exchange_reading(d, b, tol):
+    """The phase read from the dense products diag(d) @ b and b @ diag(d), entry by entry.
+
+    The oracle of exchange_phase on b = _circulant(w): c at the first largest
+    entry of b @ diag(d) in row-major order, every entry checked to tol.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs, rhs = np.multiply(d[:, None], b, dtype=complex), np.multiply(b, d, dtype=complex)
+        idx = int(np.abs(rhs).argmax())
+        pivot = rhs.flat[idx]
+        if pivot == 0 or not np.isfinite(pivot):
+            raise NotScalarMultiple(f"no finite nonzero entry to read a phase at (largest {pivot})")
+        c = complex(lhs.flat[idx] / pivot)
+        rhs *= c
+        lhs -= rhs
+        defect = float(np.abs(lhs).max())
+    if not defect <= tol:
+        raise NotScalarMultiple(f"defect {defect:.3e}")
+    return c
 
 
 def test_exchange_phase_matches_the_dense_products():
@@ -543,50 +559,106 @@ def test_exchange_phase_matches_the_dense_products():
     for j in range(7):
         for l in range(7):
             d = clock_power(pair, j).diagonal()
-            # shift^l times a diagonal is a Weyl partner of every clock power
-            b = shift_power(pair, l) * (rng.normal(size=7) + 1j * rng.normal(size=7))
-            assert abs(exchange_phase(d, b, 1e-12) - dense_exchange_reading(d, b)) <= 1e-15
+            # a scaled shift^l is a Weyl partner of every clock power
+            w = shift_power(pair, l)[:, 0] * complex(*rng.normal(size=2))
+            assert exchange_phase(d, w, 1e-12) == dense_exchange_reading(d, _circulant(w), 1e-12)
+
+
+_EDGES = [0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324]
+
+
+@st.composite
+def diagonals_and_columns(draw):
+    """(d, w): a clock power against one scaled lag, unit entries that tie in size, or any entries.
+
+    Columns hold exact-zero lags, and the last kind NaN, inf and 1e308 too.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["clock", "ties", "any"]))
+    entry = st.one_of(st.just(0j), st.sampled_from(_EDGES), st.complex_numbers())
+    if kind == "clock":
+        d = np.exp(2j * np.pi * draw(st.integers(0, n - 1)) * np.arange(n) / n)
+        w = np.zeros(n, dtype=complex)
+        w[draw(st.integers(0, n - 1))] = draw(entry)
+        return d, w
+    if kind == "ties":  # the reading then depends on which of the tied entries is read
+        d_entry, w_entry = st.sampled_from([1, -1, 1j, -1j]), st.sampled_from([0, 0, 1, 1j])
+    else:
+        d_entry = w_entry = entry
+    d = np.array(draw(st.lists(d_entry, min_size=n, max_size=n)), dtype=complex)
+    return d, np.array(draw(st.lists(w_entry, min_size=n, max_size=n)), dtype=complex)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(diagonals_and_columns(), st.sampled_from([1e-12, 1e300]))
+def test_exchange_phase_is_the_dense_reading_bit_for_bit(operands, tol):
+    d, w = operands
+    try:
+        want = dense_exchange_reading(d, _circulant(w), tol)
+    except NotScalarMultiple:
+        want = NotScalarMultiple
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want is NotScalarMultiple:
+            with pytest.raises(NotScalarMultiple):
+                exchange_phase(d, w, tol)
+        else:
+            assert np.complex128(exchange_phase(d, w, tol)).tobytes() == np.complex128(want).tobytes()
 
 
 def test_exchange_phase_takes_the_diagonal_operand_as_its_diagonal():
     pair = build_pair(5)
     with pytest.raises(DimensionMismatch):
-        exchange_phase(clock_power(pair, 1), shift_power(pair, 1), 1e-12)
+        exchange_phase(clock_power(pair, 1), shift_power(pair, 1)[:, 0], 1e-12)
     with pytest.raises(DimensionMismatch):
-        exchange_phase(np.ones(3), shift_power(pair, 1), 1e-12)
+        exchange_phase(np.ones(3), shift_power(pair, 1)[:, 0], 1e-12)
+    with pytest.raises(DimensionMismatch):  # the circulant operand is its column, never the matrix
+        exchange_phase(np.ones(5), shift_power(pair, 1), 1e-12)
+
+
+def test_commutation_phase_forms_no_dense_shift():
+    pair = build_pair(1009)
+    commutation_phase(pair, 1, 1)
+    tracemalloc.start()
+    try:
+        commutation_phase(pair, 3, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a dense shift alone takes 16 MB
 
 
 @pytest.mark.parametrize(
-    "d, b",
+    "d, w",
     [
-        (np.exp(2j * np.pi * np.arange(5) / 5), np.zeros((5, 5), dtype=complex)),
-        (np.zeros(5), np.roll(np.eye(5, dtype=complex), -1, axis=0)),
-        (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), np.roll(np.eye(5, dtype=complex), -1, axis=0)),
-        (np.exp(2j * np.pi * np.arange(5) / 5), np.where(np.eye(5) > 0, np.nan, 0.0) + 0j),
+        (np.exp(2j * np.pi * np.arange(5) / 5), np.zeros(5, dtype=complex)),
+        (np.zeros(5), np.eye(5, dtype=complex)[4]),
+        (np.array([1.0, np.nan, 1.0, 1.0, 1.0]), np.eye(5, dtype=complex)[4]),
+        (np.exp(2j * np.pi * np.arange(5) / 5), np.array([np.nan, 0, 0, 0, 0], dtype=complex)),
     ],
     ids=["zero-b", "zero-d", "nan-in-d", "nan-in-b"],
 )
-def test_exchange_phase_without_a_finite_reading_raises(d, b):
+def test_exchange_phase_without_a_finite_reading_raises(d, w):
     # the scalar would be nan + 0j; a NaN defect must not pass the tolerance test
     with pytest.raises(NotScalarMultiple):
-        exchange_phase(d, b, 1e-12)
+        exchange_phase(d, w, 1e-12)
 
 
 @pytest.mark.parametrize(
-    "d, b",
+    "d, w",
     [
-        (np.array([1.0, np.inf, 1.0]), np.roll(np.eye(3, dtype=complex), -1, axis=0)),
-        (np.ones(3), np.roll(np.eye(3, dtype=complex), -1, axis=0) + np.diag([0, 0, np.inf])),
-        (np.full(3, 1e200), np.full((3, 3), 1e200, dtype=complex)),
-        (np.array([1e200, 1.0]), np.array([[1.0, 1e200], [1.0, 1.0]], dtype=complex)),
+        (np.array([1.0, np.inf, 1.0]), np.eye(3, dtype=complex)[2]),
+        (np.ones(3), np.array([np.inf, 0, 1], dtype=complex)),
+        (np.full(3, 1e200), np.full(3, 1e200, dtype=complex)),
+        (np.array([1e200, 1.0]), np.array([1.0, 1e200], dtype=complex)),
     ],
     ids=["inf-in-d", "inf-in-b", "overflow", "overflow-in-d-at-b"],
 )
-def test_exchange_phase_raises_without_a_warning_on_inf_or_overflow(d, b):
+def test_exchange_phase_raises_without_a_warning_on_inf_or_overflow(d, w):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotScalarMultiple):
-            exchange_phase(d, b, 1e-12)
+            exchange_phase(d, w, 1e-12)
 
 
 def test_large_scale_matrix_converges():
