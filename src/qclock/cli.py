@@ -9,7 +9,6 @@ deterministic function of (input file, flags, seed): floats are printed with
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -236,8 +235,7 @@ def _verdict_fields(outcome) -> dict:
             "delta_tau": outcome.delta_tau,
             "f": list(outcome.f),
         }
-    fields = dataclasses.asdict(outcome).items()
-    certificate = {key: value for key, value in fields if value is not None}
+    certificate = {key: value for key, value in vars(outcome).items() if value is not None}
     return {"compatible": False, "certificate": certificate}
 
 
@@ -340,24 +338,24 @@ def _emit_analyze_text(report: dict) -> None:
 
 
 def _compatible(data: dict):
-    """(Spectrum, SpectrumDecomposition) of a loaded spectrum file; raises IncompatibleSpectrum."""
+    """The SpectrumDecomposition of a loaded spectrum file; raises IncompatibleSpectrum."""
     outcome = analyze_float_spectrum(data["energies"], data["n"], DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
     if not isinstance(outcome, SpectrumDecomposition):
         raise IncompatibleSpectrum(outcome.detail)
-    return Spectrum(dim=outcome.dim, energies=outcome.energies()), outcome
+    return outcome
 
 
 def cmd_clock(args) -> int:
     data = _load_odd_prime_spectrum(args.spectrum)
-    spec, decomp = _compatible(data)
-    n = spec.dim
+    decomp = _compatible(data)
+    n = decomp.dim
     steps = args.steps if args.steps is not None else 2 * n
     if not 0 <= args.initial < n:
         raise SpectrumFileError(f"--initial must be in 0..{n - 1}, got {args.initial}")
 
     pair = build_pair(n)
     basis = build_basis(pair)
-    trace = clock_run(pair, basis, decomp, spec, args.initial, steps)
+    trace = clock_run(pair, basis, decomp, Spectrum(dim=n, energies=decomp.energies()), args.initial, steps)
 
     if args.format == "json":
         report = _report("clock", args, data, initial=args.initial, steps=steps)
@@ -366,7 +364,7 @@ def cmd_clock(args) -> int:
             "k": trace.k,
             "direction_sign": trace.direction_sign,
             "delta_tau": trace.delta_tau,
-            "steps_records": [dataclasses.asdict(rec) for rec in trace.steps],
+            "steps_records": [vars(rec) for rec in trace.steps],
         })
         _emit(_dump_json(report))
     else:
@@ -407,7 +405,7 @@ def cmd_wigner(args) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if args.step is not None:
-                _, decomp = _compatible(data)
+                decomp = _compatible(data)
                 t = args.step * decomp.delta_tau
                 phases = decomp.tick_phases(args.step)
             else:
@@ -474,7 +472,7 @@ def cmd_verify(args) -> int:
             "seed": report.seed,
             "passed": report.passed,
             "signs": dict(report.signs),
-            "checks": [dataclasses.asdict(chk) for chk in report.checks],
+            "checks": [vars(chk) for chk in report.checks],
         }
         _emit(_dump_json(payload))
     else:

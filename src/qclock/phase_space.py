@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotADensityMatrix
 from .numerics import HERMITICITY_TOL, hermitian_eig, hermiticity_defect
-from .schwinger import SchwingerPair, build_pair, clock_power, shift_power
+from .schwinger import SchwingerPair, build_pair, clock_diagonal, shift_power
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
@@ -89,13 +89,11 @@ def _basis_tensor(pair: SchwingerPair) -> np.ndarray:
     half = (n - 1) // 2
     sym = np.arange(-half, half + 1)
 
-    weighted = np.empty((n, n, n, n), dtype=np.complex128)
-    shifts = [shift_power(pair, l) for l in sym]
-    for a, j in enumerate(sym):
-        cj = clock_power(pair, j)
-        for b, l in enumerate(sym):
-            half_phase = np.exp(1j * np.pi * ((j * l) % (2 * n)) / n)
-            weighted[a, b] = (cj @ shifts[b]) * half_phase
+    # term (j, l) is clock^j shift^l = diag(clock^j) shift^l, times its half phase
+    shifts = np.array([shift_power(pair, l) for l in sym])
+    half_phase = np.exp(1j * np.pi * (np.outer(sym, sym) % (2 * n)) / n)
+    weighted = clock_diagonal(pair, sym[:, None])[:, None, :, None] * shifts
+    weighted *= half_phase[:, :, None, None]
 
     # fourier[m, a] = exp(-2*pi*i*m*sym[a]/N); contract j then l
     fourier = np.exp(-2j * np.pi * (np.outer(np.arange(n), sym) % n) / n)

@@ -11,7 +11,8 @@ the propagator exchange with a scalar phase exp(sigma*2*pi*i*n*j*k^2/N)
 whose sign sigma is measured from T's circulant columns, never assumed.
 
 T is diagonal in the Fourier-dual basis while the Hamiltonian is diagonal
-in the clock basis, so the two eigenbases are mutually unbiased.
+in the clock basis, so the two eigenbases are mutually unbiased, and T is
+circulant in the clock basis: it is held by its closed-form column, O(N).
 """
 
 from __future__ import annotations
@@ -32,21 +33,26 @@ _SCALAR_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TimeIntervalOperator:
-    """T in the clock basis, with its analytic eigensystem.
+    """T in the clock basis by its circulant column, with its analytic eigensystem.
 
     eigenvalues are dtau * l (ascending); the eigenvector of eigenvalue l is
     the shift eigenvector |s_l>, the conjugate of row l of fourier.  fourier
     is the pair's own table, shared and not copied.  T and each exp(-i*T*t)
     are diagonal in the Fourier basis, hence circulant in the clock basis:
     entry (r, s) depends on (r - s) mod N only, so one column fixes each.
+    T[r, s] = column[(r - s) mod N], and matrix forms the N x N T on each read.
     """
 
     dim: int
     delta_tau: float
-    matrix: np.ndarray
+    column: np.ndarray
     eigenvalues: np.ndarray
     fourier: np.ndarray
     decomp: SpectrumDecomposition
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _circulant(self.column)
 
     def exp(self, t: float) -> np.ndarray:
         """exp(-i*T*t) from the analytic eigensystem, without a numerical eigensolve."""
@@ -60,18 +66,18 @@ def _exp_column(top: TimeIntervalOperator, t: float) -> np.ndarray:
 
 
 def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> TimeIntervalOperator:
-    """Assemble T = dtau * sum_l l |s_l><s_l| in the clock basis from its closed form."""
+    """T = dtau * sum_l l |s_l><s_l| in the clock basis, by its closed-form column (O(N) memory)."""
     if pair.dim != decomp.dim:
         raise DimensionMismatch(f"pair dim {pair.dim} != decomposition dim {decomp.dim}")
     n = pair.dim
     dtau = decomp.delta_tau
     eigvals = dtau * np.arange(n)
     # column d = (dtau/N) sum_l l z^(l*d) = dtau/(z^d - 1), or dtau*(N-1)/2 at d = 0
-    matrix = _circulant(np.concatenate(([dtau * (n - 1) / 2], dtau / (pair.clock_phases[1:] - 1.0))))
-    for arr in (eigvals, matrix):
+    column = np.concatenate(([dtau * (n - 1) / 2], dtau / (pair.clock_phases[1:] - 1.0)))
+    for arr in (eigvals, column):
         arr.setflags(write=False)
     return TimeIntervalOperator(
-        dim=n, delta_tau=dtau, matrix=matrix, eigenvalues=eigvals, fourier=pair.fourier, decomp=decomp
+        dim=n, delta_tau=dtau, column=column, eigenvalues=eigvals, fourier=pair.fourier, decomp=decomp
     )
 
 

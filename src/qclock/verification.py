@@ -24,8 +24,9 @@ from .dynamics import (
     shift_vs_evolution_residual,
     stroboscopic_step,
 )
+from .errors import NotADensityMatrix
 from .numerics import exchange_phase, exp_hermitian, hermitian_eig, rational_gcd, rationalize
-from .phase_space import build_basis, map_operator, unmap_grid, wigner_of_density
+from .phase_space import build_basis, check_density, map_operator, unmap_grid, wigner_of_density
 from .schwinger import (
     build_pair,
     clock_diagonal,
@@ -146,6 +147,16 @@ def _offsite_after(pair, spec: Spectrum, times) -> float:
     states = np.array([spec.phases(t) for t in times]) * shift_eigenvector(pair, 0)
     # each row's second largest is its offsite maximum, also when it ties the dominant site
     return float(np.sort(np.abs(states @ pair.fourier.T) ** 2, axis=1)[:, -2].min())
+
+
+def _tio_column_readings(top) -> tuple:
+    """T's Hermiticity defect, eigen-action and trace residuals, each read from its column w."""
+    w, n = top.column, top.dim
+    # (T - T^dag)[r, s] is w[d] - conj(w[-d mod N]) at d = r - s
+    hermiticity = _max_abs(w - np.conj(np.roll(w[::-1], 1)))
+    # T |s_l> = sqrt(N) * (F w)[l] |s_l>: the eigenvalues are the scaled DFT of the column
+    eigen_action = _max_abs(math.sqrt(n) * (top.fourier @ w) - top.delta_tau * np.arange(n))
+    return hermiticity, eigen_action, abs(n * w[0].real - top.delta_tau * n * (n - 1) / 2.0)
 
 
 def measure_signs(pair, decomp: SpectrumDecomposition | None = None) -> dict:
@@ -291,10 +302,9 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         ("harmonic", harmonic, d_harm, top_harm),
         ("skewed", skewed, d_skew, top_skew),
     ):
-        checks.append(_upper(f"tio-hermiticity-{label}", _max_abs(top.matrix - top.matrix.conj().T), 1e-12))
-        worst = max(_max_abs(top.matrix @ v - top.delta_tau * l * v) for l, v in enumerate(shift_vecs))
-        checks.append(_upper(f"tio-eigen-action-{label}", worst, 1e-10))
-        trace_defect = abs(np.trace(top.matrix).real - top.delta_tau * n * (n - 1) / 2.0)
+        hermiticity, eigen_action, trace_defect = _tio_column_readings(top)
+        checks.append(_upper(f"tio-hermiticity-{label}", hermiticity, 1e-12))
+        checks.append(_upper(f"tio-eigen-action-{label}", eigen_action, 1e-10))
         checks.append(_upper(f"tio-trace-{label}", trace_defect, 1e-10))
         tgrid = time_operator_grid(basis, top)
         expected = np.broadcast_to(top.delta_tau * np.arange(n), (n, n))
@@ -377,6 +387,13 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     scan = [2.0 * np.pi * j / 40.0 for j in range(1, 40)]
     scanned = _offsite_after(pair, squares, scan)
     checks.append(_lower("control-incompatible-scan", scanned, 0.01))
+    # and the density guard rejects a unit-trace Hermitian matrix with a negative eigenvalue
+    rejected = 0.0
+    try:
+        check_density(np.diag([1.0 + 1e-6, -1e-6] + [0.0] * (n - 2)))
+    except NotADensityMatrix:
+        rejected = 1.0
+    checks.append(_lower("control-density-negative-eigenvalue", rejected, 1.0))
 
     checks.sort(key=lambda chk: chk.name)
     return SuiteReport(

@@ -339,6 +339,30 @@ def test_wigner_bad_state_is_malformed(state):
     assert "--state" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clock", "--spectrum", HARMONIC, "--steps", "1"],
+        ["clock", "--spectrum", SKEWED, "--steps", "10"],  # 2N
+        ["clock", "--spectrum", SKEWED, "--steps", "1000"],
+        ["verify", "--n", "5"],
+        ["verify", "--n", "7", "--seed", "1093"],
+        ["analyze", "--spectrum", SQUARES, "--shift-ground"],
+    ],
+)
+def test_records_serialize_from_their_fields_as_asdict_renders_them(monkeypatch, capsys, argv):
+    # each record is written from vars(rec); a deep copy by dataclasses.asdict writes the same bytes
+    import dataclasses
+
+    from qclock import cli
+
+    code = cli.main(argv)
+    by_fields = capsys.readouterr().out
+    monkeypatch.setattr(cli, "vars", dataclasses.asdict, raising=False)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == by_fields
+
+
 def test_wigner_csv_is_the_per_cell_fmt12_text(monkeypatch, capsys):
     from qclock import cli
 

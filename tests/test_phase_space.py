@@ -22,6 +22,7 @@ from qclock import (
     map_operator,
     measure_shift_sign,
     shift_eigenvector,
+    shift_power,
     shift_vs_evolution_residual,
     unmap_grid,
     wigner_of_density,
@@ -404,6 +405,27 @@ def test_maps_property(op):
     assert np.max(np.abs(grid - map_by_elements(basis, op))) < 1e-12 * scale
     assert np.max(np.abs(unmap_grid(basis, op) - unmap_by_elements(basis, op))) < 1e-12 * scale
     assert np.max(np.abs(unmap_grid(basis, grid) - op)) < 1e-12 * scale
+
+
+def looped_basis_tensor(pair):
+    """The basis tensor with one dense clock^j @ shift^l product per term, as a reference."""
+    n = pair.dim
+    half = (n - 1) // 2
+    sym = np.arange(-half, half + 1)
+    weighted = np.empty((n, n, n, n), dtype=np.complex128)
+    for a, j in enumerate(sym):
+        for b, l in enumerate(sym):
+            half_phase = np.exp(1j * np.pi * ((j * l) % (2 * n)) / n)
+            weighted[a, b] = (clock_power(pair, j) @ shift_power(pair, l)) * half_phase
+    fourier = np.exp(-2j * np.pi * (np.outer(np.arange(n), sym) % n) / n)
+    partial = np.tensordot(fourier, weighted, axes=(1, 0))
+    return np.einsum("nb,mbrs->mnrs", fourier, partial) / n
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 11, 13, 31])
+def test_basis_tensor_is_the_looped_sum_bit_for_bit(dim):
+    pair = cached_pair(dim)
+    assert qclock.phase_space._basis_tensor(pair).tobytes() == looped_basis_tensor(pair).tobytes()
 
 
 def test_elements_cached_and_read_only():

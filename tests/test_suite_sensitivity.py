@@ -3,13 +3,15 @@
 A mutant replaces one library function in every module that calls it; the
 suite then runs in-process.  After exactly N ticks every time direction and
 every shift rule give the identity, so these faults are seen only by the
-one- and two-tick checks.
+one- and two-tick checks.  A density guard whose eigenvalue floor is -1
+passes every density the suite draws, so only its negative control sees it.
 """
 
 import numpy as np
 import pytest
 
 import qclock.dynamics as dynamics
+import qclock.phase_space as phase_space
 import qclock.verification as verification
 from qclock.verification import run_suite
 
@@ -47,3 +49,9 @@ def test_suite_fails_a_named_check_for_each_dynamics_mutant(monkeypatch, name, m
         monkeypatch.setattr(module, name, mutant)
     failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
     assert caught_by in failing
+
+
+def test_suite_fails_the_density_control_when_the_eigenvalue_floor_is_minus_one(monkeypatch):
+    monkeypatch.setattr(phase_space, "DENSITY_EIG_FLOOR", -1.0)
+    failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
+    assert failing == {"control-density-negative-eigenvalue", "spectrum-perturbation-reject"}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,30 @@ def test_closed_form_matches_the_fourier_diagonalization(dim):
     assert np.max(np.abs(top.matrix - by_fourier)) <= 1e-12
     # circulant: every entry repeats exactly one step down the diagonal
     assert np.array_equal(top.matrix, np.roll(top.matrix, (1, 1), axis=(0, 1)))
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7, 31, 211])
+@pytest.mark.parametrize("spec_of", [lambda n: Spectrum(n, tuple(range(n))), quadratic_spectrum])
+def test_matrix_is_the_dense_closed_form_bit_for_bit(dim, spec_of):
+    # T held by its column: the derived matrix is the entrywise closed form, built densely
+    pair = cached_pair(dim)
+    top = build_time_operator(pair, decompose_spectrum(spec_of(dim)))
+    lag = (np.arange(dim)[:, None] - np.arange(dim)) % dim
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dense = top.delta_tau / (pair.clock_phases[lag] - 1.0)
+    dense[lag == 0] = top.delta_tau * (dim - 1) / 2
+    assert top.matrix.dtype == np.complex128 and top.matrix.tobytes() == dense.tobytes()
+    assert top.column.shape == (dim,) and not top.column.flags.writeable
+    assert top.matrix is not top.matrix  # formed on each read, not stored
+
+
+def test_build_time_operator_forms_no_dense_matrix():
+    pair = cached_pair(1009)
+    dec = decompose_spectrum(Spectrum(1009, tuple(range(1009))))
+    tracemalloc.start()
+    try:
+        build_time_operator(pair, dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a dense T at N = 1009 is 16 MB

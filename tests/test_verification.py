@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qclock.verification as verification
-from qclock import Spectrum, SpectrumDecomposition, build_pair, clock_diagonal, decompose_spectrum, exp_hermitian
+from qclock import (
+    Spectrum,
+    SpectrumDecomposition,
+    build_pair,
+    build_time_operator,
+    clock_diagonal,
+    decompose_spectrum,
+    exp_hermitian,
+    is_odd_prime,
+    shift_eigenvector,
+)
 from qclock.verification import harmonic_spectrum, measure_signs, run_suite, skewed_spectrum
 
 
@@ -34,6 +46,26 @@ def test_measure_signs_needs_a_spectrum_for_two_signs(dim):
     assert measure_signs(pair, decompose_spectrum(skewed_spectrum(dim))) == run_suite(dim).signs
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([n for n in range(3, 212) if is_odd_prime(n)]),
+    st.sampled_from([harmonic_spectrum, skewed_spectrum]),
+)
+def test_tio_column_readings_are_the_dense_readings(dim, family):
+    pair = build_pair(dim)
+    top = build_time_operator(pair, decompose_spectrum(family(dim)))
+    hermiticity, eigen_action, trace_defect = verification._tio_column_readings(top)
+    t, dtau = top.matrix, top.delta_tau
+    assert repr(hermiticity) == repr(verification._max_abs(t - t.conj().T))
+    # the column reads the eigenvalue error, the dense check its action on a unit vector
+    vectors = [shift_eigenvector(pair, l) for l in range(dim)]
+    dense_action = np.sqrt(dim) * max(verification._max_abs(t @ v - dtau * l * v) for l, v in enumerate(vectors))
+    assert abs(eigen_action - dense_action) <= 1e-13
+    # above N ~ 150 one ulp of the trace exceeds 1e-13, and the dense sum may be off by one
+    expected = dtau * dim * (dim - 1) / 2.0
+    assert abs(trace_defect - abs(np.trace(t).real - expected)) <= max(1e-13, 2 * np.spacing(expected))
+
+
 def test_suite_exponentiates_only_the_random_hamiltonian(monkeypatch):
     calls = []
 
@@ -54,7 +86,7 @@ SUITE_CHECKS_N5 = [
     "clock-occupancy-harmonic", "clock-occupancy-skewed",
     "clock-periodicity-harmonic", "clock-periodicity-harmonic-one-tick",
     "clock-periodicity-skewed", "clock-periodicity-skewed-one-tick",
-    "control-half-tick-offsite", "control-incompatible-scan",
+    "control-density-negative-eigenvalue", "control-half-tick-offsite", "control-incompatible-scan",
     "dynamics-hypothesis-harmonic", "dynamics-hypothesis-skewed",
     "dynamics-shift-cyclic", "dynamics-shift-delta",
     "dynamics-shift-vs-evolution-harmonic", "dynamics-shift-vs-evolution-harmonic-one-tick",
