@@ -183,22 +183,36 @@ def shift_vs_evolution_residual(
     grid; path B applies the rigid column shift (with the measured sign) to
     the initial grid the same number of times.  Works for any valid density
     matrix, mixed states included.
+
+    A sequence of tick counts gives one residual per count, each the one-count
+    call's: rho is checked and the sign measured once, rho is evolved once up to
+    the largest count, and every grid comes from one stacked map.
     """
     _require_consistent(pair, basis, decomp, spec)
     n = pair.dim
-    if n_steps < 0:
+    counts = np.asarray(n_steps).reshape(-1).tolist()
+    if any(count < 0 for count in counts):
         raise ValueError("n_steps must be >= 0")
 
     rho = check_density(rho)
     sign = measure_shift_sign(pair, decomp)
     tick = decomp.tick_phases(1)
 
-    evolved = rho
-    for _ in range(n_steps):
-        evolved = conjugate_diagonal(evolved, tick)
-    # rho is checked above; the evolved state is checked again before its map
-    direct_grid, shifted_grid = map_operator(basis, np.stack((check_density(evolved), rho)))
-    for _ in range(n_steps):
-        shifted_grid = stroboscopic_step(shifted_grid, decomp.k % n, sign)
+    # the states and grids at the counts asked for, kept as the ticks pass them
+    wanted, last = set(counts), max(counts, default=0)
+    evolved, state = {0: rho}, rho
+    for step in range(1, last + 1):
+        state = conjugate_diagonal(state, tick)
+        if step in wanted:
+            evolved[step] = state
+    # rho is checked above; each evolved state is checked again before its map
+    direct = [check_density(evolved[count]) if count else rho for count in counts]
+    *direct_grids, grid = map_operator(basis, np.stack(direct + [rho]))
+    shifted = {0: grid}
+    for step in range(1, last + 1):
+        grid = stroboscopic_step(grid, decomp.k % n, sign)
+        if step in wanted:
+            shifted[step] = grid
 
-    return float(np.abs(direct_grid - shifted_grid).max())
+    residuals = [float(np.abs(grid - shifted[count]).max()) for grid, count in zip(direct_grids, counts)]
+    return residuals[0] if np.ndim(n_steps) == 0 else np.array(residuals)

@@ -128,6 +128,14 @@ def exp_hermitian(a, t: float) -> np.ndarray:
     return (es.vectors * phases) @ es.vectors.conj().T
 
 
+def _is_array(x) -> bool:
+    """Whether x takes a function's array form: a numpy array of at least one dimension.
+
+    A cheap test, as the scalar forms run in loops; 0-d arrays and numpy scalars stay scalars.
+    """
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
 def _circulant(column: np.ndarray) -> np.ndarray:
     """The N x N matrix with entry (r, s) = column[(r - s) mod N]."""
     n = column.size
@@ -149,30 +157,68 @@ def exchange_phase(d, w, tol: float) -> complex:
     d, w = np.asarray(d), np.asarray(w)
     if d.ndim != 1 or w.shape != d.shape:
         raise DimensionMismatch(f"diagonal of shape {d.shape} does not fit circulant column of shape {w.shape}")
-    lags = w.nonzero()[0]
+    return complex(_exchange_phases(d, w, tol))
+
+
+def _exchange_phases(d: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
+    """exchange_phase of each pair (d[..., :], w[..., :]) of stacks of shape (..., N) that broadcast.
+
+    Returns c of the stacks' shape less N, each entry exchange_phase of its pair bit for bit,
+    and raises NotScalarMultiple if any pair would.  The pairs share the union of their
+    nonzero lags: a lag where w[b] is zero gives pair b exact zeros, which never win its
+    reading and never add to its defect (0 * inf is NaN, but an inf in d[b] already
+    makes pair b raise).  A pair of shape (N,) keeps the array shapes of a one-pair
+    reading, so that numpy takes the same loops for it; stacks need N > 1, as one-entry
+    products of shape (B, 1, 1) take another numpy loop, which rounds apart.
+    """
+    if d.shape != w.shape:
+        d, w = np.broadcast_arrays(d, w)
+    n, shape = d.shape[-1], d.shape[:-1]
+    if d.ndim > 2:
+        d, w = d.reshape(-1, n), w.reshape(-1, n)
+    if d.ndim == 2 and not len(d):
+        return np.empty(shape, dtype=complex)
+    lags = (w if w.ndim == 1 else w.any(axis=0)).nonzero()[0]
     if not lags.size:
         raise NotScalarMultiple("the circulant operand is zero: no entry to read a phase at")
-    cols = np.arange(d.size)[:, None] - lags  # row r holds (r, r - lag_i); d[cols] wraps it mod N
-    # inf * 0 and overflow make NaN and inf silently; the checks below reject both
-    with np.errstate(invalid="ignore", over="ignore"):
-        wl = w[lags]
-        # rhs first, so that the gather d[cols] is freed before lhs is made
-        rhs, lhs = np.multiply(wl, d[cols], dtype=complex), np.multiply(d[:, None], wl, dtype=complex)
-        size = np.abs(rhs)  # a NaN or inf anywhere in d or among w's lags lands in rhs and wins
-        r, i = divmod(int(size.argmax()), lags.size)  # the first row with the largest entry, as dense
-        if np.count_nonzero(size[r] == size[r, i]) > 1:  # a tie in that row: dense reads the least s
-            order = np.argsort(cols[r] % d.size)
-            i = order[size[r, order].argmax()]
-        pivot = rhs[r, i]
-        if pivot == 0 or not np.isfinite(pivot):
-            raise NotScalarMultiple(f"C @ diag(d) has no finite nonzero entry to read a phase at (largest {pivot})")
-        c = complex(lhs[r, i] / pivot)
-        rhs *= c  # in place: one call holds lhs, rhs, cols and one float array
+    width, block = lags.size, n * lags.size
+    cols = np.arange(n)[:, None] - lags  # row r holds (r, r - lag_i); gathering d at cols wraps it mod N
+    # inf * 0, x / 0 and overflow make NaN and inf silently; the defect check rejects them all
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if d.ndim == 1:
+            wl, gathered = w[lags], d[cols]
+        else:  # np.take gathers from a stack faster than an index with a slice does
+            wl, gathered = np.take(w, lags, axis=1)[:, None, :], np.take(d, cols, axis=1)
+        # rhs first and in the gather's memory if it is complex, so that the gather is gone before lhs is made
+        rhs = np.multiply(wl, gathered, dtype=complex, out=gathered if gathered.dtype == complex else None)
+        del gathered
+        lhs = np.multiply(d[..., None], wl, dtype=complex)
+        size = np.abs(rhs)  # a NaN or inf anywhere in d[b] or among its lags lands in rhs and wins
+        # each pair's first largest entry, as dense; on a tie in its row dense reads the least s (a NaN ties nothing)
+        if d.ndim == 1:  # one pair: plain reads, which cost less than a stack's gathers
+            r, i = divmod(int(size.argmax()), width)
+            if width > 1 and np.count_nonzero(size[r] == size[r, i]) > 1:
+                i = np.where(size[r] == size[r, i], (r - lags) % n, n).argmin()
+            c = lhs[r, i] / rhs[r, i]
+            rhs *= c
+        else:
+            at = size.reshape(-1, block).argmax(axis=1) + np.arange(0, len(d) * block, block)
+            if width > 1:
+                rows, entries = at // width, size.reshape(-1)
+                ties = entries.reshape(-1, width)[rows] == entries[at, None]
+                if np.count_nonzero(ties) > at.size:
+                    at = rows * width + np.where(ties, (rows[:, None] - lags) % n, n).argmin(axis=1)
+            c = lhs.reshape(-1)[at] / rhs.reshape(-1)[at]
+            rhs *= c[:, None, None]
+        # in place: one call holds lhs, rhs, cols and one float array; a zero or
+        # non-finite pivot makes c, and with it the defect, non-finite
         lhs -= rhs
-        defect = float(np.abs(lhs, out=size).max())
+        defect = float(np.abs(lhs, out=size).max())  # NaN if any pair's is
     if not defect <= tol:
+        if not np.isfinite(c).all():
+            raise NotScalarMultiple("C @ diag(d) has no finite nonzero entry to read a phase at")
         raise NotScalarMultiple(f"diag(d) @ C is not a scalar multiple of C @ diag(d) (defect {defect:.3e})")
-    return c
+    return c if d.ndim == 1 else c.reshape(shape)
 
 
 def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:

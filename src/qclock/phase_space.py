@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotADensityMatrix
 from .numerics import HERMITICITY_TOL, hermitian_eig, hermiticity_defect
-from .schwinger import SchwingerPair, build_pair, clock_diagonal, shift_power
+from .schwinger import SchwingerPair, clock_diagonal, shift_power
 
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
@@ -50,10 +50,13 @@ class OperatorBasis:
     half_phase[j, l]  = exp(-i*pi*sym(j)*sym(l)/N)
     rows[r, 0] = r, cols[r, l] = r + l (mod N): op[rows, cols] holds the
     cyclic diagonal l of op in column l.
+    clock_phases[l]   = exp(2*pi*i*l/N), the pair's own clock row, shared and
+                        not copied
 
     ``elements`` (shape (N, N, N, N); elements[m, n] is B(m, n)) is summed
-    from the definition on first read and then cached.  It takes 16*N^4
-    bytes and serves only as the reference the basis checks examine.
+    from the definition on first read, from the pair's own rows, and then
+    cached.  It takes 16*N^4 bytes and serves only as the reference the basis
+    checks examine.
     """
 
     dim: int
@@ -61,14 +64,18 @@ class OperatorBasis:
     half_phase: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
+    clock_phases: np.ndarray
 
     @cached_property
     def elements(self) -> np.ndarray:
-        return _basis_tensor(build_pair(self.dim))
+        return _basis_tensor(SchwingerPair(dim=self.dim, clock_phases=self.clock_phases, fourier=self.fourier))
 
 
 def build_basis(pair: SchwingerPair) -> OperatorBasis:
-    """The transform tables for the given pair (O(N^2) memory, one new complex table)."""
+    """The transform tables for the given pair (O(N^2) memory, one new complex table).
+
+    The basis holds the pair's Fourier table and clock row by reference.
+    """
     n = pair.dim
     half = (n - 1) // 2
     labels = np.arange(n)
@@ -80,7 +87,7 @@ def build_basis(pair: SchwingerPair) -> OperatorBasis:
     )
     for arr in tables.values():
         arr.setflags(write=False)
-    return OperatorBasis(dim=n, fourier=pair.fourier, **tables)
+    return OperatorBasis(dim=n, fourier=pair.fourier, clock_phases=pair.clock_phases, **tables)
 
 
 def _basis_tensor(pair: SchwingerPair) -> np.ndarray:

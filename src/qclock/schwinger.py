@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionNotOddPrime, IndexOutOfRange, NotScalarMultiple
-from .numerics import _circulant, exchange_phase, is_odd_prime
+from .numerics import _circulant, _exchange_phases, is_odd_prime
 
 _SCALAR_TOL = 1e-12
 
@@ -56,11 +56,11 @@ def clock_diagonal(pair: SchwingerPair, exponent: int) -> np.ndarray:
 
     Entry l is the pair's own clock phase at (exponent*l) mod N, read from its
     table, so negative powers are as accurate as positive ones.  An integer
-    array of exponents of shape (r, 1) gives the r diagonals as rows.
+    array of exponents of shape (..., 1) gives one diagonal per exponent.
     """
-    e = exponent % pair.dim
-    labels = np.arange(pair.dim)
-    return pair.clock_phases[(e * labels) % pair.dim]
+    index = exponent % pair.dim * np.arange(pair.dim)
+    index %= pair.dim
+    return pair.clock_phases[index]
 
 
 def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
@@ -69,10 +69,11 @@ def clock_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
 
 
 def _shift_column(dim: int, exponent: int) -> np.ndarray:
-    """Column 0 of shift**exponent, which is circulant: e_{-exponent mod N}, exact 0/1."""
-    out = np.zeros(dim, dtype=np.complex128)
-    out[-exponent % dim] = 1
-    return out
+    """Column 0 of shift**exponent, which is circulant: e_{-exponent mod N}, exact 0/1.
+
+    An integer array of exponents of shape (..., 1) gives one column per exponent.
+    """
+    return (np.arange(dim) == -exponent % dim).astype(np.complex128)
 
 
 def shift_power(pair: SchwingerPair, exponent: int) -> np.ndarray:
@@ -97,8 +98,16 @@ def commutation_phase(pair: SchwingerPair, j: int, l: int) -> complex:
     c is read off at the largest entry of shift^l clock^j and then validated
     entrywise to 1e-12; a validation failure raises NotScalarMultiple (which
     would indicate a bug, not a physical condition).  |c| = 1 always.
+
+    Integer arrays j and l that broadcast together give an array of that shape,
+    each entry the scalar call's bit for bit, read in one pass.  The entries
+    share the lags of all their shift powers, so memory grows as entries * N *
+    (distinct powers): one power per call keeps N entries at O(N^2).
     """
-    return exchange_phase(clock_diagonal(pair, j), _shift_column(pair.dim, l), _SCALAR_TOL)
+    # reduced first, so that a Python int past int64 stays an integer index
+    diagonals = clock_diagonal(pair, np.asarray(j % pair.dim)[..., None])
+    phases = _exchange_phases(diagonals, _shift_column(pair.dim, np.asarray(l % pair.dim)[..., None]), _SCALAR_TOL)
+    return complex(phases) if phases.ndim == 0 else phases
 
 
 def measure_commutation_sign(pair: SchwingerPair) -> int:

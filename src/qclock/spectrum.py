@@ -35,7 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionNotOddPrime, IncompatibleSpectrum
-from .numerics import _convergent, _tolerance_ratio, is_odd_prime
+from .numerics import _convergent, _is_array, _tolerance_ratio, is_odd_prime
 
 NOT_COMMENSURABLE = "NotCommensurable"
 DEGENERATE = "DegenerateSpectrum"
@@ -95,7 +95,10 @@ class Spectrum:
         return out
 
     def phases(self, t: float) -> np.ndarray:
-        """exp(-i*E_m*t) at any t: the diagonal of exp(-i*H*t) for H = diag(E)."""
+        """exp(-i*E_m*t) at any t: the diagonal of exp(-i*H*t) for H = diag(E).
+
+        A numpy array of times gives one row per time, each the scalar call's bit for bit.
+        """
         return _phase_vector(self.as_floats(), t)
 
 
@@ -110,7 +113,13 @@ def _exact_fraction(x) -> Fraction:
 
 
 def _phase_vector(energies: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*E*t) for float64 energies; every diagonal propagator comes from here."""
+    """exp(-i*E*t) for float64 energies; every diagonal propagator comes from here.
+
+    A numpy array of times gives one row per time.  Each product E*(-i*t) has one exact
+    zero term, so the outer product rounds as the scalar one does, bit for bit.
+    """
+    if _is_array(t):
+        return np.exp(np.multiply.outer(t.astype(float) * -1j, energies))
     return np.exp(energies * (-1j * float(t)))
 
 
@@ -184,6 +193,8 @@ class SpectrumDecomposition:
 
         N ticks are whole turns, so j enters mod N (a float j*dtau loses the
         phase at large j), and the tick is checked before the energies are formed.
+        An integer numpy array j gives one row per entry, each the scalar call's
+        bit for bit.
         """
         t = (j % self.dim) * self.delta_tau
         return _phase_vector(self.tick_energies, t)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency
-from .numerics import _circulant, exchange_phase
+from .numerics import _circulant, _exchange_phases
 from .phase_space import OperatorBasis, map_operator
-from .schwinger import SchwingerPair, _shift_column
+from .schwinger import SchwingerPair
 from .spectrum import Spectrum, SpectrumDecomposition, reduce_mod_period
 
 _SCALAR_TOL = 1e-10
@@ -60,9 +60,18 @@ class TimeIntervalOperator:
 
 
 def _exp_column(top: TimeIntervalOperator, t: float) -> np.ndarray:
-    """Column 0 of exp(-i*T*t): entry d is (1/N) sum_l exp(-i*dtau*l*t) z^(l*d), z = exp(2*pi*i/N)."""
-    conj_phases = np.exp(top.eigenvalues * (1j * float(t)))
-    return np.conj(conj_phases @ top.fourier) / math.sqrt(top.dim)
+    """Column 0 of exp(-i*T*t): entry d is (1/N) sum_l exp(-i*dtau*l*t) z^(l*d), z = exp(2*pi*i/N).
+
+    An array of times gives one column per time as rows, each the one-time column
+    bit for bit: numpy multiplies a stack of (1, N) rows by F one vector-matrix
+    product at a time, where one (K, N) matrix product would round apart.
+    """
+    conj_phases = np.exp(np.multiply.outer(np.asarray(t, dtype=float) * 1j, top.eigenvalues))
+    column = (conj_phases[..., None, :] @ top.fourier)[..., 0, :]
+    del conj_phases  # then conjugate and scale in place: a stack of K times holds two (K, N) arrays at most
+    np.conj(column, out=column)
+    column /= math.sqrt(top.dim)
+    return column
 
 
 def build_time_operator(pair: SchwingerPair, decomp: SpectrumDecomposition) -> TimeIntervalOperator:
@@ -99,20 +108,30 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
     T.  For a spectrum matching the decomposition T was built from this is
     roundoff; for anything else it is O(1) -- the function measures, it does
     not gate.
+
+    A sequence of gaps gives one residual per gap, each the one-gap call's: the
+    energies are reduced once and every column comes from one stacked product.
     """
     n = top.dim
     if spec.dim != n:
         raise DimensionMismatch(f"spectrum dim {spec.dim} != operator dim {n}")
-    if not 0 <= s < n:
-        raise ValueError(f"gap s={s} outside 0..{n - 1}")
-    # exp(-i*T*t) and shift^(-k*s) are circulant: their largest gap is the largest over one column
-    reference = _shift_column(n, -top.decomp.k * s)
+    gaps = np.asarray(s).reshape(-1)
+    outside = gaps[(gaps < 0) | (gaps >= n)]
+    if outside.size:
+        raise ValueError(f"gap s={outside[0]} outside 0..{n - 1}")
     reduced = reduce_mod_period(spec.energies, top.decomp.omega, n)
-    worst = 0.0
-    for m in range(n - s):
-        column = _exp_column(top, reduced[m + s] - reduced[m])
-        worst = max(worst, float(np.abs(column - reference).max()))
-    return worst
+    # column c pairs rung lo[c] with rung lo[c] + gap; the gaps' columns lie in runs of N - gap
+    runs = n - gaps
+    starts = np.cumsum(runs) - runs
+    lo = np.arange(runs.sum()) - np.repeat(starts, runs)
+    owner = np.repeat(np.arange(gaps.size), runs)
+    columns = _exp_column(top, reduced[lo + gaps[owner]] - reduced[lo])
+    # exp(-i*T*t) and shift^(-k*s) are circulant: their largest gap is the largest over one
+    # column, and column 0 of shift^(-k*s) is the unit vector at k*s mod N
+    columns[np.arange(owner.size), (top.decomp.k * gaps % n)[owner]] -= 1
+    worst = np.abs(columns).max(axis=1)
+    residuals = np.maximum.reduceat(worst, starts) if gaps.size else worst
+    return float(residuals[0]) if np.ndim(s) == 0 else residuals
 
 
 def verify_weyl_pair(
@@ -124,16 +143,24 @@ def verify_weyl_pair(
     W = exp(-i*T*(E_j - E_0)); read at the largest entry of W*G, validated
     entrywise to 1e-10 (failure raises NotScalarMultiple and indicates a bug).
     |c| = 1 and c^N = 1.
+
+    Integer arrays n and j that broadcast together give an array of that
+    shape, each entry the scalar call's bit for bit, read in one pass; a bad
+    entry anywhere raises what the scalar call raises for it.
     """
     if top.dim != decomp.dim:
         raise DimensionMismatch(f"operator dim {top.dim} != decomposition dim {decomp.dim}")
-    if n < 0:
+    ticks, ladder = np.asarray(n), np.asarray(j)
+    if (ticks < 0).any():
         raise ValueError("tick count must be >= 0")
-    if not 0 <= j < top.dim:
-        raise IndexOutOfRange(f"ladder index {j} outside 0..{top.dim - 1}")
+    outside = ladder[(ladder < 0) | (ladder >= top.dim)]
+    if outside.size:
+        raise IndexOutOfRange(f"ladder index {outside[0]} outside 0..{top.dim - 1}")
 
     reduced = decomp.tick_energies  # T's eigenvalues are multiples of the tick
-    return exchange_phase(decomp.tick_phases(n), _exp_column(top, reduced[j] - reduced[0]), _SCALAR_TOL)
+    columns = _exp_column(top, reduced[ladder] - reduced[0])
+    phases = _exchange_phases(decomp.tick_phases(ticks), columns, _SCALAR_TOL)
+    return complex(phases) if phases.ndim == 0 else phases
 
 
 def measure_weyl_sign(top: TimeIntervalOperator, decomp: SpectrumDecomposition) -> int:

@@ -24,8 +24,8 @@ from .dynamics import (
     shift_vs_evolution_residual,
     stroboscopic_step,
 )
-from .errors import NotADensityMatrix
-from .numerics import exchange_phase, exp_hermitian, hermitian_eig, rational_gcd, rationalize
+from .errors import NotADensityMatrix, NoRationalWithinTolerance
+from .numerics import _exchange_phases, exp_hermitian, hermitian_eig, rational_gcd, rationalize
 from .phase_space import build_basis, check_density, map_operator, unmap_grid, wigner_of_density
 from .schwinger import (
     build_pair,
@@ -83,6 +83,15 @@ def _lower(name: str, residual: float, threshold: float) -> CheckResult:
 
 def _max_abs(a) -> float:
     return float(np.abs(a).max())
+
+
+def _largest_gap(values, targets) -> float:
+    """max |value - target| over entries, 0.0 for none, each gap by Python's abs.
+
+    numpy's array abs rounds some entries apart from the scalar abs (C hypot) that
+    a loop over one reading at a time takes, so the entries are read as Python complex.
+    """
+    return max(map(abs, (values - targets).ravel().tolist()), default=0.0)
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:
@@ -144,7 +153,7 @@ def skewed_spectrum(dim: int) -> Spectrum:
 
 def _offsite_after(pair, spec: Spectrum, times) -> float:
     """Least over the times of the max population outside the dominant Fourier site, from |s_0>."""
-    states = np.array([spec.phases(t) for t in times]) * shift_eigenvector(pair, 0)
+    states = spec.phases(np.array(times)) * shift_eigenvector(pair, 0)
     # each row's second largest is its offsite maximum, also when it ties the dominant site
     return float(np.sort(np.abs(states @ pair.fourier.T) ** 2, axis=1)[:, -2].min())
 
@@ -212,25 +221,26 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
             failures += 1
     checks.append(_upper("rationalize-roundtrip", failures, 0.0))
 
-    # clock/shift pair
-    worst = 0.0
-    for j in range(n):
-        for l in range(n):
-            target = np.exp(-2j * np.pi * ((j * l) % n) / n)
-            worst = max(worst, abs(commutation_phase(pair, j, l) - target))
+    # clock/shift pair: the commutation table one shift power at a time, O(N^2) memory
+    labels = np.arange(n)
+    # each target is the scalar exp(-2*pi*i*(j*l mod N)/N) of its residue
+    roots = np.array([np.exp(-2j * np.pi * x / n) for x in range(n)])
+    worst = max(_largest_gap(commutation_phase(pair, labels, l), roots[labels * l % n]) for l in range(n))
     checks.append(_upper("schwinger-commutation-table", worst, 1e-12))
-    worst = max(_max_abs(clock_diagonal(pair, n - k) - 1 / clock_diagonal(pair, k)) for k in range(1, n))
+    powers = labels[1:, None]
+    worst = _max_abs(clock_diagonal(pair, n - powers) - 1 / clock_diagonal(pair, powers))
     checks.append(_upper("schwinger-cyclic-inverse", worst, 1e-12))
     eye = np.eye(n)
-    labels = np.arange(n)
-    # column m of shift^s, i.e. shift^s @ e_m, is e_{m-s}
-    worst = max(_max_abs(shift_power(pair, s) - eye[:, (labels - s) % n]) for s in range(n))
+    # column m of shift^s, i.e. shift^s @ e_m, is e_{m-s}: entry [s, :, m] of the stack
+    expected = eye[:, (labels - labels[:, None]) % n].transpose(1, 0, 2)
+    worst = _max_abs(np.array([shift_power(pair, s) for s in range(n)]) - expected)
     checks.append(_upper("schwinger-shift-action", worst, 0.0))
     unitarity = _max_abs(pair.fourier @ pair.fourier.conj().T - eye)
     checks.append(_upper("schwinger-fourier-unitary", unitarity, 1e-12))
-    shift_vecs = [shift_eigenvector(pair, k) for k in range(n)]
-    shift = shift_power(pair, 1)
-    worst = max(_max_abs(shift @ v - np.exp(2j * np.pi * k / n) * v) for k, v in enumerate(shift_vecs))
+    # row k of the stack is |s_k>; shift @ v permutes v exactly, so one product serves all k
+    shift_vecs = np.array([shift_eigenvector(pair, k) for k in range(n)])
+    eigenvalues = np.array([np.exp(2j * np.pi * k / n) for k in range(n)])
+    worst = _max_abs(shift_vecs @ shift_power(pair, 1).T - eigenvalues[:, None] * shift_vecs)
     checks.append(_upper("schwinger-fourier-eigen", worst, 1e-12))
     checks.append(_upper("mub-overlap", _max_abs(np.abs(pair.fourier) ** 2 - 1.0 / n), 1e-12))
 
@@ -309,7 +319,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         tgrid = time_operator_grid(basis, top)
         expected = np.broadcast_to(top.delta_tau * np.arange(n), (n, n))
         checks.append(_upper(f"tio-grid-{label}", _max_abs(tgrid - expected), 1e-10))
-        worst = max(verify_energy_shift(top, spec, s) for s in range(n))
+        worst = verify_energy_shift(top, spec, labels).max()
         checks.append(_upper(f"tio-energy-shift-{label}", worst, 1e-10))
 
         sigma = signs["weyl_pair_sign"]
@@ -318,30 +328,27 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         else:
             table = [(a, b) for a in range(3) for b in range(3)]
             table += [(int(rng.integers(0, n)), int(rng.integers(0, n))) for _ in range(6)]
-        worst = 0.0
-        for a, b in table:
-            phase = verify_weyl_pair(top, dec, a, b)
-            target = np.exp(sigma * 2j * np.pi * ((a * b * dec.k * dec.k) % n) / n)
-            worst = max(worst, abs(phase - target))
+        ticks, ladder = np.array(table).T
+        # each target is the scalar exp(sigma*2*pi*i*(a*b*k^2 mod N)/N) of its residue
+        roots = np.array([np.exp(sigma * 2j * np.pi * x / n) for x in range(n)])
+        targets = roots[ticks * ladder * dec.k * dec.k % n]
+        worst = _largest_gap(verify_weyl_pair(top, dec, ticks, ladder), targets)
         checks.append(_upper(f"tio-weyl-phase-{label}", worst, 1e-10))
 
     # the exchange phase only sees the ladder gap, not which rung it starts on
     energies = skewed.as_floats()
     prop = d_skew.tick_phases(1)
     worst = 0.0
-    for j in (1, 2):
-        reference = verify_weyl_pair(top_skew, d_skew, 1, j)
-        for m in range(n - j):
-            w = _exp_column(top_skew, energies[m + j] - energies[m])
-            worst = max(worst, abs(exchange_phase(prop, w, 1e-10) - reference))
+    for j, reference in zip((1, 2), verify_weyl_pair(top_skew, d_skew, 1, np.array([1, 2]))):
+        columns = _exp_column(top_skew, energies[j:] - energies[:-j])  # rung m against rung m + j
+        phases = _exchange_phases(prop, columns, 1e-10)
+        worst = max(worst, _largest_gap(phases, reference))
     checks.append(_upper("tio-weyl-gap-only", worst, 1e-10))
 
     # dynamics
     for label, spec, dec in (("harmonic", harmonic, d_harm), ("skewed", skewed, d_skew)):
-        worst = max(
-            _max_abs(dec.tick_phases(t) - clock_diagonal(pair, -(t * dec.k) % n))
-            for t in range(1, 2 * n + 1)
-        )
+        ticks = np.arange(1, 2 * n + 1)
+        worst = _max_abs(dec.tick_phases(ticks) - clock_diagonal(pair, (-(ticks * dec.k) % n)[:, None]))
         checks.append(_upper(f"dynamics-hypothesis-{label}", worst, 1e-10))
 
         trace = clock_run(pair, basis, dec, spec, initial_index=0, steps=n)
@@ -362,8 +369,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         checks.append(_upper(f"clock-periodicity-{label}-one-tick", _max_abs(one_tick), 1e-10))
 
         rho = random_density(rng, n)
-        for suffix, ticks in (("", n), ("-one-tick", 1), ("-two-ticks", 2)):
-            residual = shift_vs_evolution_residual(pair, basis, dec, spec, rho, ticks)
+        residuals = shift_vs_evolution_residual(pair, basis, dec, spec, rho, (n, 1, 2))
+        for suffix, residual in zip(("", "-one-tick", "-two-ticks"), residuals):
             checks.append(_upper(f"dynamics-shift-vs-evolution-{label}{suffix}", residual, 1e-9))
 
     grid0 = wigner_of_density(basis, random_density(rng, n))
@@ -394,6 +401,13 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     except NotADensityMatrix:
         rejected = 1.0
     checks.append(_lower("control-density-negative-eigenvalue", rejected, 1.0))
+    # and rationalize accepts a convergent exactly at the tolerance: 1/2 lies 2**-30 from 0.5 + 2**-30
+    at_edge = 0.0
+    try:
+        at_edge = float(rationalize(0.5 + 2.0**-30, 2.0**-30, DEFAULT_MAX_DENOMINATOR) == Fraction(1, 2))
+    except NoRationalWithinTolerance:
+        pass
+    checks.append(_lower("control-rationalize-tolerance-edge", at_edge, 1.0))
 
     checks.sort(key=lambda chk: chk.name)
     return SuiteReport(

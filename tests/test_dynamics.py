@@ -26,7 +26,7 @@ from qclock import (
     wigner_of_density,
 )
 from qclock.dynamics import conjugate_diagonal
-from qclock.verification import harmonic_spectrum, skewed_spectrum
+from qclock.verification import harmonic_spectrum, random_density, skewed_spectrum
 from conftest import cached_basis, cached_pair
 
 HARMONIC5 = Spectrum(5, (0, 1, 2, 3, 4))
@@ -327,3 +327,33 @@ def test_clock_stays_exact_at_any_energy_scale(spec):
     signs = suite_signs(n)
     assert measure_shift_sign(pair, dec) == trace.direction_sign == signs["shift_direction_sign"]
     assert measure_weyl_sign(build_time_operator(pair, dec), dec) == signs["weyl_pair_sign"]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13]),
+    st.sampled_from([harmonic_spectrum, skewed_spectrum]),
+    st.lists(st.integers(0, 30), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_shift_vs_evolution_counts_are_the_scalar_calls(dim, family, counts, seed):
+    pair, basis = cached_pair(dim), cached_basis(dim)
+    spec = family(dim)
+    dec = decompose_spectrum(spec)
+    rho = random_density(np.random.default_rng(seed), dim)
+    got = shift_vs_evolution_residual(pair, basis, dec, spec, rho, counts)
+    want = [shift_vs_evolution_residual(pair, basis, dec, spec, rho, c) for c in counts]
+    assert [repr(float(r)) for r in got] == [repr(r) for r in want]
+    with pytest.raises(ValueError):
+        shift_vs_evolution_residual(pair, basis, dec, spec, rho, counts + [-1])
+
+
+def test_shift_vs_evolution_counts_measure_and_guard_once(monkeypatch):
+    pair, basis, dec = cached_pair(5), cached_basis(5), decompose_spectrum(SKEWED5)
+    signs, guarded = [], []
+    monkeypatch.setattr(dynamics, "measure_shift_sign", lambda *a: signs.append(a) or measure_shift_sign(*a))
+    original = dynamics.check_density
+    monkeypatch.setattr(dynamics, "check_density", lambda rho: guarded.append(rho) or original(rho))
+    shift_vs_evolution_residual(pair, basis, dec, SKEWED5, np.eye(5) / 5, (5, 1, 2))
+    assert len(signs) == 1
+    assert len(guarded) == 4  # rho once, then each evolved state before its map

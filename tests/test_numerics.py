@@ -21,7 +21,7 @@ from qclock import (
     rational_gcd,
     rationalize,
 )
-from qclock.numerics import _circulant
+from qclock.numerics import _circulant, _exchange_phases
 from qclock.schwinger import build_pair, clock_power, commutation_phase, shift_power
 from conftest import count_fraction_constructions
 
@@ -669,3 +669,56 @@ def test_large_scale_matrix_converges():
     a = 1e3 * (a + a.conj().T)
     es = hermitian_eig(a)
     assert reconstruction_residual(a, es) < 1e-10
+
+
+@st.composite
+def stacked_operands(draw):
+    """(d, w) of shape (B, N), each row one kind: a clock power against a scaled lag,
+    unit entries that tie in size, any entries (NaN, inf and 1e308 too), a zero
+    column, or a pair that is no scalar multiple."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 11, 13, 31]))
+    rows = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0j), st.sampled_from(_EDGES), st.complex_numbers())
+    ds, ws = [], []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["clock", "clock", "ties", "ties", "any", "zero", "not-scalar"]))
+        if kind in ("clock", "zero", "not-scalar"):
+            d = np.exp(2j * np.pi * draw(st.integers(0, n - 1)) * np.arange(n) / n)
+            w = np.zeros(n, dtype=complex)
+            if kind == "clock":
+                w[draw(st.integers(0, n - 1))] = draw(entry)
+            elif kind == "not-scalar":
+                d = np.arange(1.0, n + 1.0) + 0j
+                w[draw(st.integers(1, n - 1)) if n > 1 else 0] = 1
+        else:
+            if kind == "ties":
+                d_entry, w_entry = st.sampled_from([1, -1, 1j, -1j]), st.sampled_from([0, 0, 1, 1j])
+            else:
+                d_entry = w_entry = entry
+            d = np.array(draw(st.lists(d_entry, min_size=n, max_size=n)), dtype=complex)
+            w = np.array(draw(st.lists(w_entry, min_size=n, max_size=n)), dtype=complex)
+        ds.append(d)
+        ws.append(w)
+    return np.array(ds), np.array(ws)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(stacked_operands(), st.sampled_from([1e-12, 1e300]))
+def test_stacked_exchange_phases_are_the_one_pair_readings(operands, tol):
+    d, w = operands
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = []
+        for row_d, row_w in zip(d, w):
+            try:
+                want.append(np.complex128(exchange_phase(row_d, row_w, tol)).tobytes())
+            except NotScalarMultiple:
+                want = NotScalarMultiple
+                break
+        if want is NotScalarMultiple:  # one row that raises makes the stack raise
+            with pytest.raises(NotScalarMultiple):
+                _exchange_phases(d, w, tol)
+        else:
+            got = _exchange_phases(d, w, tol)
+            assert got.shape == (len(d),)
+            assert [c.tobytes() for c in got] == want

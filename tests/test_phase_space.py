@@ -14,6 +14,7 @@ from qclock import (
     NotHermitian,
     Spectrum,
     build_basis,
+    build_pair,
     check_density,
     clock_power,
     clock_run,
@@ -448,6 +449,19 @@ def test_basis_shares_the_pair_fourier_table(dim):
     ]
     assert len(tables) == 2  # the shared Fourier table and the basis's own half_phase
     assert sum(table is not pair.fourier for table in tables) == 1
+
+
+@pytest.mark.parametrize("dim", [3, 5, 13])
+def test_elements_come_from_the_pair_rows_without_a_second_pair(monkeypatch, dim):
+    pair = build_pair(dim)
+    basis = build_basis(pair)
+    assert basis.clock_phases is pair.clock_phases
+
+    def refuse(dim):
+        raise AssertionError("the basis built a second Schwinger pair")
+
+    monkeypatch.setattr(qclock.phase_space, "build_pair", refuse, raising=False)
+    assert basis.elements.tobytes() == qclock.phase_space._basis_tensor(pair).tobytes()
 
 
 def test_n31_paths_never_build_elements(monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclock import (
     DimensionNotOddPrime,
@@ -8,6 +10,7 @@ from qclock import (
     clock_diagonal,
     clock_power,
     commutation_phase,
+    is_odd_prime,
     measure_commutation_sign,
     shift_eigenvector,
     shift_power,
@@ -160,3 +163,40 @@ def test_fourier_unitary():
     pair = cached_pair(7)
     gram = pair.fourier @ pair.fourier.conj().T
     assert np.max(np.abs(gram - np.eye(7))) < 1e-12
+
+
+_ARRAY_DIMS = [n for n in range(3, 32) if is_odd_prime(n)] + [101, 211]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_commutation_phase_arrays_are_the_scalar_calls(data):
+    dim = data.draw(st.sampled_from(_ARRAY_DIMS))
+    pair = cached_pair(dim)
+    exponents = st.integers(-3 * dim, 3 * dim)
+    shapes = [((4,), ()), ((), (3,)), ((3, 1), (1, 4)), ((5,), (5,)), ((0,), ()), ((2, 1), (0,))]
+    shape_j, shape_l = data.draw(st.sampled_from(shapes))
+    j = np.array(data.draw(st.lists(exponents, min_size=int(np.prod(shape_j)), max_size=int(np.prod(shape_j)))), int)
+    l = np.array(data.draw(st.lists(exponents, min_size=int(np.prod(shape_l)), max_size=int(np.prod(shape_l)))), int)
+    j, l = j.reshape(shape_j), l.reshape(shape_l)
+    got = commutation_phase(pair, j, l)
+    jb, lb = np.broadcast_arrays(j, l)
+    assert got.shape == jb.shape
+    for index in np.ndindex(got.shape):
+        want = commutation_phase(pair, int(jb[index]), int(lb[index]))
+        assert got[index].tobytes() == np.complex128(want).tobytes()
+
+
+def test_commutation_phase_takes_exponents_past_int64():
+    pair = cached_pair(7)
+    for j, l in ((10**30, 3), (2**64, -(10**30)), (-(2**63) - 5, 2**63)):
+        assert commutation_phase(pair, j, l) == commutation_phase(pair, j % 7, l % 7)
+
+
+def test_commutation_table_by_shift_power_at_n211_is_the_scalar_table():
+    pair = cached_pair(211)
+    labels = np.arange(211)
+    for l in (0, 1, 105, 210):
+        got = commutation_phase(pair, labels, l)
+        want = [np.complex128(commutation_phase(pair, j, l)).tobytes() for j in range(211)]
+        assert [c.tobytes() for c in got] == want

@@ -25,7 +25,7 @@ from qclock import (
     rationalize_energies,
 )
 from qclock.spectrum import reduce_mod_period
-from qclock.verification import random_compatible_spectrum
+from qclock.verification import harmonic_spectrum, random_compatible_spectrum, skewed_spectrum
 from conftest import cached_pair, count_fraction_constructions
 
 
@@ -640,3 +640,21 @@ def test_gate_builds_omega_only_on_success(monkeypatch):
     assert len(built) == 1
     assert isinstance(decompose_spectrum(broken), IncompatibilityCertificate)
     assert len(built) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    st.sampled_from([harmonic_spectrum, skewed_spectrum]),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+)
+def test_tick_phases_rows_are_the_scalar_calls(dim, family, ticks):
+    spec = family(dim)
+    dec = decompose_spectrum(spec)
+    rows = dec.tick_phases(np.array(ticks))
+    assert rows.shape == (len(ticks), dim)
+    for row, j in zip(rows, ticks):
+        assert row.tobytes() == dec.tick_phases(j).tobytes()
+    # and the spectrum's own phases at float times, row by row
+    times = [j * 0.37 for j in ticks]
+    assert [row.tobytes() for row in spec.phases(np.array(times))] == [spec.phases(t).tobytes() for t in times]

@@ -4,14 +4,17 @@ A mutant replaces one library function in every module that calls it; the
 suite then runs in-process.  After exactly N ticks every time direction and
 every shift rule give the identity, so these faults are seen only by the
 one- and two-tick checks.  A density guard whose eigenvalue floor is -1
-passes every density the suite draws, so only its negative control sees it.
+passes every density the suite draws, so only its negative control sees it,
+and so does a rationalize that rejects a convergent exactly at the tolerance.
 """
 
 import numpy as np
 import pytest
 
 import qclock.dynamics as dynamics
+import qclock.numerics as numerics
 import qclock.phase_space as phase_space
+import qclock.spectrum as spectrum
 import qclock.verification as verification
 from qclock.verification import run_suite
 
@@ -55,3 +58,30 @@ def test_suite_fails_the_density_control_when_the_eigenvalue_floor_is_minus_one(
     monkeypatch.setattr(phase_space, "DENSITY_EIG_FLOOR", -1.0)
     failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
     assert failing == {"control-density-negative-eigenvalue", "spectrum-perturbation-reject"}
+
+
+def strict_convergent(x, tolerance, max_denominator):
+    """numerics._convergent with `<` in place of `<=` in its distance test."""
+    a, b = x.as_integer_ratio()
+    c, d = tolerance
+    cb = c * b
+    p, p_prev = 1, 0
+    q, q_prev = 0, 1
+    num, den = a, b
+    while True:
+        a0, rem = divmod(num, den)
+        p, p_prev = a0 * p + p_prev, p
+        q, q_prev = a0 * q + q_prev, q
+        if q > max_denominator:
+            return None
+        if rem * d < cb * q:
+            return p, q
+        num, den = den, rem
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 42), (5, 42), (5, 1093), (7, 2)])
+def test_suite_fails_the_tolerance_edge_control_when_rationalize_is_strict(monkeypatch, dim, seed):
+    for module in (numerics, spectrum):  # every module that imports _convergent
+        monkeypatch.setattr(module, "_convergent", strict_convergent)
+    failing = {chk.name for chk in run_suite(dim, seed).checks if not chk.passed}
+    assert "control-rationalize-tolerance-edge" in failing

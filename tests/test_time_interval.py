@@ -2,9 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qclock.time_interval as time_interval
 from qclock import (
     DimensionMismatch,
+    IndexOutOfRange,
     Spectrum,
     build_time_operator,
     decompose_spectrum,
@@ -17,6 +21,7 @@ from qclock import (
     verify_weyl_pair,
 )
 from qclock.spectrum import reduce_mod_period
+from qclock.verification import harmonic_spectrum, skewed_spectrum
 from conftest import cached_basis, cached_pair
 
 HARMONIC5 = Spectrum(5, (0, 1, 2, 3, 4))
@@ -253,3 +258,56 @@ def test_build_time_operator_forms_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # a dense T at N = 1009 is 16 MB
+
+
+_ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(_ODD_PRIMES), st.sampled_from([harmonic_spectrum, skewed_spectrum]), st.data())
+def test_weyl_pair_arrays_are_the_scalar_calls(dim, family, data):
+    dec = decompose_spectrum(family(dim))
+    top = build_time_operator(cached_pair(dim), dec)
+    size = data.draw(st.integers(1, 6))
+    ticks = np.array(data.draw(st.lists(st.integers(0, 3 * dim), min_size=size, max_size=size)))
+    ladder = np.array(data.draw(st.lists(st.integers(0, dim - 1), min_size=size, max_size=size)))
+    got = verify_weyl_pair(top, dec, ticks, ladder)
+    assert [c.tobytes() for c in got] == [
+        np.complex128(verify_weyl_pair(top, dec, int(a), int(b))).tobytes() for a, b in zip(ticks, ladder)
+    ]
+    table = verify_weyl_pair(top, dec, ticks[:, None], ladder)  # broadcast to (size, size)
+    assert table.shape == (size, size)
+    assert table[np.arange(size), np.arange(size)].tobytes() == got.tobytes()
+    empty = np.array([], int)
+    assert verify_weyl_pair(top, dec, empty, empty).shape == (0,)
+    assert verify_weyl_pair(top, dec, ticks[:, None], empty).shape == (size, 0)
+    # a bad entry anywhere raises what the scalar call raises for it
+    bad = data.draw(st.integers(0, size - 1))
+    with pytest.raises(IndexOutOfRange):
+        verify_weyl_pair(top, dec, ticks, np.where(np.arange(size) == bad, dim, ladder))
+    with pytest.raises(ValueError):
+        verify_weyl_pair(top, dec, np.where(np.arange(size) == bad, -1, ticks), ladder)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(_ODD_PRIMES), st.sampled_from([harmonic_spectrum, skewed_spectrum]), st.data())
+def test_energy_shift_gaps_are_the_scalar_calls(dim, family, data):
+    spec = family(dim)
+    top = top_for(spec)
+    gaps = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim + 2))
+    got = verify_energy_shift(top, spec, gaps)
+    assert [repr(float(r)) for r in got] == [repr(verify_energy_shift(top, spec, s)) for s in gaps]
+    with pytest.raises(ValueError):
+        verify_energy_shift(top, spec, gaps + [data.draw(st.sampled_from([-1, dim]))])
+
+
+def test_energy_shift_gap_sequence_reduces_the_energies_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reduce_mod_period(*args)
+
+    monkeypatch.setattr(time_interval, "reduce_mod_period", counting)
+    verify_energy_shift(top_for(SKEWED5), SKEWED5, range(5))
+    assert len(calls) == 1

@@ -87,6 +87,7 @@ SUITE_CHECKS_N5 = [
     "clock-periodicity-harmonic", "clock-periodicity-harmonic-one-tick",
     "clock-periodicity-skewed", "clock-periodicity-skewed-one-tick",
     "control-density-negative-eigenvalue", "control-half-tick-offsite", "control-incompatible-scan",
+    "control-rationalize-tolerance-edge",
     "dynamics-hypothesis-harmonic", "dynamics-hypothesis-skewed",
     "dynamics-shift-cyclic", "dynamics-shift-delta",
     "dynamics-shift-vs-evolution-harmonic", "dynamics-shift-vs-evolution-harmonic-one-tick",
