@@ -48,6 +48,9 @@ _VERIFY_DIM_CAP = 31  # runtime guard for the verify suite
 _SPECTRUM_DIM_CAP = 1009  # N x N complex matrices: ~0.18 GB peak at the cap
 _MAX_STEPS = 100_000  # clock ticks; time and memory grow linearly with them
 _RATIO_RE = re.compile(r"[+-]?[0-9]+/[0-9]+")
+# numeric flags: ASCII digits only, as int() and float() also take other scripts' digits and "_"
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class SpectrumFileError(QClockError):
@@ -496,12 +499,13 @@ def cmd_verify(args) -> int:
 
 
 def _number(kind, ok, requirement: str):
-    """argparse type: kind(text) satisfying ok, else exit 2 naming the flag."""
+    """argparse type: kind(text) of ASCII decimal text, satisfying ok, else exit 2 naming the flag."""
+    grammar = _INTEGER_RE if kind is int else _DECIMAL_RE
 
     def parse(text: str):
         try:
-            value = kind(text)
-        except ValueError:
+            value = kind(text) if grammar.fullmatch(text) else None
+        except ValueError:  # an integer with more digits than int() converts
             value = None
         if value is None or not ok(value):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
@@ -514,6 +518,7 @@ _finite_float = _number(float, math.isfinite, "a finite number")
 _positive_float = _number(
     float, lambda x: math.isfinite(x) and x > 0.0, "a finite positive number"
 )
+_integer = _number(int, lambda x: True, "an integer")
 _positive_int = _number(int, lambda x: x >= 1, "an integer >= 1")
 _seed = _number(int, lambda x: x >= 0, "an integer >= 0")
 _step_count = _number(int, lambda x: 1 <= x <= _MAX_STEPS, f"an integer in 1..{_MAX_STEPS}")
@@ -537,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("clock", help="run the stroboscopic clock protocol")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--initial", type=int, default=0)
+    p.add_argument("--initial", type=_integer, default=0)
     p.add_argument("--steps", type=_step_count, default=None, help="tick count (default 2N)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_clock)
@@ -547,12 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="v:INT, u:INT, or mixed")
     when = p.add_mutually_exclusive_group(required=True)
     when.add_argument("--time", type=_finite_float)
-    when.add_argument("--step", type=int)
+    when.add_argument("--step", type=_integer)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_wigner)
 
     p = sub.add_parser("verify", help="run the invariant suite at a dimension")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_verify)

@@ -25,9 +25,6 @@ from .errors import (
 
 HERMITICITY_TOL = 1e-12
 
-_GAUGE_FLOOR = 1e-8  # smallest component considered "nonzero" when phase-fixing
-_CLUSTER_TOL = 1e-10  # eigenvalue gap below which vectors count as degenerate
-
 
 def is_odd_prime(n: int) -> bool:
     """Trial-division primality, restricted to odd primes (3, 5, 7, ...)."""
@@ -64,21 +61,13 @@ class EigenSystem:
     vectors: np.ndarray | None
 
 
-def _pivots(vecs: np.ndarray) -> np.ndarray:
-    """Each column's first component above the gauge floor: a unit column's largest is >= 1/sqrt(N)."""
-    if not vecs.size:  # argmax rejects the empty columns of a 0x0 matrix
-        return vecs.diagonal()
-    return vecs[(np.abs(vecs) > _GAUGE_FLOOR).argmax(axis=0), np.arange(vecs.shape[1])]
-
-
 def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
     """Eigendecomposition of a complex Hermitian matrix (LAPACK ``eigh``).
 
-    Eigenvalues come back ascending; eigenvector columns are orthonormal and
-    gauge-fixed (first sizable component real positive).  Within a degenerate
-    cluster the columns are ordered by that component's real part, so repeated
-    runs on the same matrix give identical output.  With vectors=False only
-    the eigenvalues are computed (``eigvalsh``) and ``vectors`` is None.
+    Returns ``eigh``'s output as it comes, in read-only arrays: eigenvalues
+    ascending, and orthonormal eigenvector columns whose phases, and whose order
+    inside a degenerate eigenvalue, are LAPACK's.  With vectors=False only the
+    eigenvalues are computed (``eigvalsh``) and ``vectors`` is None.
 
     Raises NotHermitian when max|a - a^dag| exceeds 1e-12, NoConvergence when
     LAPACK reports that the decomposition did not converge.
@@ -98,19 +87,6 @@ def hermitian_eig(a, vectors: bool = True) -> EigenSystem:
         values, vecs = np.linalg.eigh(work)  # values ascending
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK did not converge: {exc}") from exc
-
-    scale = max(1.0, float(np.abs(work).max()) if work.size else 0.0)
-    pivots = _pivots(vecs)
-    # |pivot| as abs() rounds it; Fortran order, the layout of a column gather
-    vecs = np.multiply(vecs, np.conj(pivots) / np.hypot(pivots.real, pivots.imag), order="F")
-
-    # deterministic order inside degenerate clusters: a stable sort by
-    # cluster label, then by the gauge-fixed pivot's real part
-    splits = values[1:] - values[:-1] > _CLUSTER_TOL * scale
-    if not splits.all():
-        cluster = np.concatenate(([0], np.cumsum(splits)))
-        order = np.lexsort((_pivots(vecs).real, cluster))
-        values, vecs = values[order], vecs[:, order]
 
     values.setflags(write=False)
     vecs.setflags(write=False)
@@ -167,49 +143,38 @@ def _exchange_phases(d: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
     and raises NotScalarMultiple if any pair would.  The pairs share the union of their
     nonzero lags: a lag where w[b] is zero gives pair b exact zeros, which never win its
     reading and never add to its defect (0 * inf is NaN, but an inf in d[b] already
-    makes pair b raise).  A pair of shape (N,) keeps the array shapes of a one-pair
-    reading, so that numpy takes the same loops for it; stacks need N > 1, as one-entry
-    products of shape (B, 1, 1) take another numpy loop, which rounds apart.
+    makes pair b raise).  A single pair of shape (N,) is read as a stack of one.
     """
     if d.shape != w.shape:
         d, w = np.broadcast_arrays(d, w)
     n, shape = d.shape[-1], d.shape[:-1]
-    if d.ndim > 2:
-        d, w = d.reshape(-1, n), w.reshape(-1, n)
-    if d.ndim == 2 and not len(d):
+    pairs = math.prod(shape)
+    d, w = d.reshape(pairs, n), w.reshape(pairs, n)
+    if not pairs:
         return np.empty(shape, dtype=complex)
-    lags = (w if w.ndim == 1 else w.any(axis=0)).nonzero()[0]
+    lags = w.any(axis=0).nonzero()[0]
     if not lags.size:
         raise NotScalarMultiple("the circulant operand is zero: no entry to read a phase at")
     width, block = lags.size, n * lags.size
     cols = np.arange(n)[:, None] - lags  # row r holds (r, r - lag_i); gathering d at cols wraps it mod N
     # inf * 0, x / 0 and overflow make NaN and inf silently; the defect check rejects them all
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        if d.ndim == 1:
-            wl, gathered = w[lags], d[cols]
-        else:  # np.take gathers from a stack faster than an index with a slice does
-            wl, gathered = np.take(w, lags, axis=1)[:, None, :], np.take(d, cols, axis=1)
+        # np.take gathers from a stack faster than an index with a slice does
+        wl, gathered = np.take(w, lags, axis=1)[:, None, :], np.take(d, cols, axis=1)
         # rhs first and in the gather's memory if it is complex, so that the gather is gone before lhs is made
         rhs = np.multiply(wl, gathered, dtype=complex, out=gathered if gathered.dtype == complex else None)
         del gathered
         lhs = np.multiply(d[..., None], wl, dtype=complex)
         size = np.abs(rhs)  # a NaN or inf anywhere in d[b] or among its lags lands in rhs and wins
         # each pair's first largest entry, as dense; on a tie in its row dense reads the least s (a NaN ties nothing)
-        if d.ndim == 1:  # one pair: plain reads, which cost less than a stack's gathers
-            r, i = divmod(int(size.argmax()), width)
-            if width > 1 and np.count_nonzero(size[r] == size[r, i]) > 1:
-                i = np.where(size[r] == size[r, i], (r - lags) % n, n).argmin()
-            c = lhs[r, i] / rhs[r, i]
-            rhs *= c
-        else:
-            at = size.reshape(-1, block).argmax(axis=1) + np.arange(0, len(d) * block, block)
-            if width > 1:
-                rows, entries = at // width, size.reshape(-1)
-                ties = entries.reshape(-1, width)[rows] == entries[at, None]
-                if np.count_nonzero(ties) > at.size:
-                    at = rows * width + np.where(ties, (rows[:, None] - lags) % n, n).argmin(axis=1)
-            c = lhs.reshape(-1)[at] / rhs.reshape(-1)[at]
-            rhs *= c[:, None, None]
+        at = size.reshape(-1, block).argmax(axis=1) + np.arange(0, pairs * block, block)
+        if width > 1:
+            rows, entries = at // width, size.reshape(-1)
+            ties = entries.reshape(-1, width)[rows] == entries[at, None]
+            if np.count_nonzero(ties) > at.size:
+                at = rows * width + np.where(ties, (rows[:, None] - lags) % n, n).argmin(axis=1)
+        c = lhs.reshape(-1)[at] / rhs.reshape(-1)[at]
+        rhs *= c[:, None, None]
         # in place: one call holds lhs, rhs, cols and one float array; a zero or
         # non-finite pivot makes c, and with it the defect, non-finite
         lhs -= rhs
@@ -218,7 +183,7 @@ def _exchange_phases(d: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         if not np.isfinite(c).all():
             raise NotScalarMultiple("C @ diag(d) has no finite nonzero entry to read a phase at")
         raise NotScalarMultiple(f"diag(d) @ C is not a scalar multiple of C @ diag(d) (defect {defect:.3e})")
-    return c if d.ndim == 1 else c.reshape(shape)
+    return c.reshape(shape)
 
 
 def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:

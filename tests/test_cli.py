@@ -304,6 +304,13 @@ def test_wigner_step_equals_time():
         ("analyze", "--tolerance", "inf"),
         ("wigner", "--time", "nan"),
         ("wigner", "--time", "inf"),
+        # ASCII decimal digits only: int() and float() also take other scripts' digits and "_"
+        pytest.param("clock", "--initial", "\u0662", id="clock---initial-non-ascii-digit"),
+        ("clock", "--steps", "1_0"),
+        pytest.param("wigner", "--step", "\u0661", id="wigner---step-non-ascii-digit"),
+        pytest.param("wigner", "--time", "\u0660.5", id="wigner---time-non-ascii-digit"),
+        ("analyze", "--tolerance", "1_0e-3"),
+        pytest.param("analyze", "--max-denominator", "\u0661\u0660", id="analyze---max-denominator-non-ascii-digits"),
     ],
 )
 def test_bad_numeric_flag_is_malformed(tmp_path, command, flag, value):
@@ -409,6 +416,23 @@ def test_negative_seed_is_malformed():
     proc = run_cli("verify", "--n", "3", "--seed", "-1")
     assert proc.returncode == 2
     assert "--seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "flag,argv",
+    [
+        ("--n", ("--n", "\u0665")),
+        ("--n", ("--n", "3 ")),
+        ("--seed", ("--n", "3", "--seed", "1_0")),
+    ],
+    ids=["n-non-ascii-digit", "n-trailing-space", "seed-underscore"],
+)
+def test_verify_numeric_flag_outside_ascii_digits_is_malformed(flag, argv):
+    proc = run_cli("verify", *argv)
+    assert proc.returncode == 2
+    assert flag in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 

@@ -242,19 +242,9 @@ def test_check_density_lapack_failure_is_no_convergence(monkeypatch):
 # --- the density and eigen guards against reference copies ---------------------
 #
 # The references take every step: check_density symmetrizes each matrix before
-# its eigenvalues, the pivots fall back to a column's largest entry (which no
-# unit column needs), and the shift-vs-evolution residual checks rho again
-# before its map and rolls the grid.  On every input the guards must give the
+# its eigenvalues, and the shift-vs-evolution residual checks rho again before
+# its map and rolls the grid.  On every input the guards must give the
 # same verdict, the same message and the same bits.
-
-
-def reference_pivots(vecs):
-    if not vecs.size:
-        return vecs.diagonal()
-    mags = np.abs(vecs)
-    sizable = mags > 1e-8
-    rows = np.where(sizable.any(axis=0), sizable.argmax(axis=0), mags.argmax(axis=0))
-    return vecs[rows, np.arange(vecs.shape[1])]
 
 
 def reference_hermitian_eig(a, vectors=True):
@@ -262,19 +252,10 @@ def reference_hermitian_eig(a, vectors=True):
     defect = float(np.abs(arr - arr.conj().T).max())
     if defect > 1e-12:
         raise NotHermitian(f"max |A - A^dag| = {defect:.3e} exceeds 1e-12")
-    work = 0.5 * (arr + arr.conj().T) if defect else arr
+    work = 0.5 * (arr + arr.conj().T)
     if not vectors:
         return np.linalg.eigvalsh(work), None
-    values, vecs = np.linalg.eigh(work)
-    scale = max(1.0, float(np.abs(work).max()))
-    pivots = reference_pivots(vecs)
-    vecs = np.multiply(vecs, np.conj(pivots) / np.hypot(pivots.real, pivots.imag), order="F")
-    splits = values[1:] - values[:-1] > 1e-10 * scale
-    if not splits.all():
-        cluster = np.concatenate(([0], np.cumsum(splits)))
-        order = np.lexsort((reference_pivots(vecs).real, cluster))
-        values, vecs = values[order], vecs[:, order]
-    return values, vecs
+    return np.linalg.eigh(work)
 
 
 def reference_check_density(rho):

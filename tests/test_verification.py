@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qclock.dynamics as dynamics
 import qclock.verification as verification
 from qclock import (
     Spectrum,
@@ -66,16 +67,22 @@ def test_tio_column_readings_are_the_dense_readings(dim, family):
     assert abs(trace_defect - abs(np.trace(t).real - expected)) <= max(1e-13, 2 * np.spacing(expected))
 
 
-def test_suite_exponentiates_only_the_random_hamiltonian(monkeypatch):
-    calls = []
+def test_suite_exponentiates_three_times_for_additivity_and_once_per_evolve_density(monkeypatch):
+    calls = {"verification": 0, "dynamics": 0}
 
-    def counting(a, t):
-        calls.append(t)
-        return exp_hermitian(a, t)
+    def counting(binding):
+        def exp(a, t):
+            calls[binding] += 1
+            return exp_hermitian(a, t)
 
-    monkeypatch.setattr(verification, "exp_hermitian", counting)
+        return exp
+
+    # each module's own binding of exp_hermitian: every call the suite makes goes through one
+    monkeypatch.setattr(verification, "exp_hermitian", counting("verification"))
+    monkeypatch.setattr(dynamics, "exp_hermitian", counting("dynamics"))
     report = run_suite(5)
-    assert len(calls) <= 3  # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t))
+    assert calls["verification"] == 3  # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t))
+    assert calls["dynamics"] == 2 * (5 + 1)  # clock-periodicity: N ticks and one tick, per spectrum
     assert {chk.name for chk in report.checks if not chk.passed} == {"spectrum-perturbation-reject"}
 
 
