@@ -43,6 +43,11 @@ class ClockTrace:
     steps: tuple
 
 
+def _conjugate(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g rho g^dagger: the one conjugation both evolution forms share."""
+    return g @ rho @ g.conj().T
+
+
 def evolve_density(rho, hamiltonian, t: float) -> np.ndarray:
     """Conjugate a density matrix by the propagator exp(-i*H*t).
 
@@ -54,8 +59,20 @@ def evolve_density(rho, hamiltonian, t: float) -> np.ndarray:
         raise DimensionMismatch(
             f"hamiltonian shape {hamiltonian.shape} != state shape {rho.shape}"
         )
-    g = exp_hermitian(hamiltonian, t)
-    return g @ rho @ g.conj().T
+    return _conjugate(rho, exp_hermitian(hamiltonian, t))
+
+
+def conjugate_unitary(rho, g) -> np.ndarray:
+    """g rho g^dagger for a propagator g the caller formed, such as exp_hermitian(H, t).
+
+    evolve_density(rho, H, t) bit for bit when g is exp_hermitian(H, t), so
+    repeated ticks of one H share one eigensolve.  rho is guarded as there.
+    """
+    rho = check_density(rho)
+    g = np.asarray(g, dtype=np.complex128)
+    if g.shape != rho.shape:
+        raise DimensionMismatch(f"propagator shape {g.shape} != state shape {rho.shape}")
+    return _conjugate(rho, g)
 
 
 def stroboscopic_step(grid, k: int, sign: int) -> np.ndarray:

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import qclock.dynamics as dynamics
 from qclock import (
+    DimensionMismatch,
     IncompatibleSpectrum,
     InternalConsistency,
+    NotADensityMatrix,
     Spectrum,
     build_time_operator,
     clock_power,
@@ -25,7 +27,7 @@ from qclock import (
     stroboscopic_step,
     wigner_of_density,
 )
-from qclock.dynamics import conjugate_diagonal
+from qclock.dynamics import conjugate_diagonal, conjugate_unitary
 from qclock.verification import harmonic_spectrum, random_density, skewed_spectrum
 from conftest import cached_basis, cached_pair
 
@@ -270,6 +272,34 @@ def test_clock_periodicity_at_full_cycle():
     for _ in range(5):
         rho = evolve_density(rho, np.diag(SKEWED5.as_floats()), dec.delta_tau)
     assert np.max(np.abs(rho - rho0)) < 1e-10
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([3, 5, 7, 11, 31]),
+    st.sampled_from([harmonic_spectrum, skewed_spectrum]),
+    st.integers(-3, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_conjugate_unitary_is_evolve_density_bit_for_bit(dim, family, ticks, seed):
+    spec = family(dim)
+    h = np.diag(spec.as_floats().astype(np.complex128))
+    t = ticks * decompose_spectrum(spec).delta_tau
+    rho = random_density(np.random.default_rng(seed), dim)
+    assert conjugate_unitary(rho, exp_hermitian(h, t)).tobytes() == evolve_density(rho, h, t).tobytes()
+
+
+def test_conjugate_unitary_guards_the_state_and_the_shape(monkeypatch):
+    g = exp_hermitian(np.diag(SKEWED5.as_floats()), 0.3)
+    with pytest.raises(NotADensityMatrix):
+        conjugate_unitary(np.diag([1.0 + 1e-6, -1e-6, 0.0, 0.0, 0.0]), g)
+    with pytest.raises(DimensionMismatch):
+        conjugate_unitary(np.eye(5) / 5, g[:3, :3])
+    guarded = []
+    original = dynamics.check_density
+    monkeypatch.setattr(dynamics, "check_density", lambda rho: guarded.append(rho) or original(rho))
+    conjugate_unitary(np.eye(5) / 5, g)
+    assert len(guarded) == 1
 
 
 def offsite_after(pair, basis, spec, t):

@@ -98,7 +98,7 @@ def random_unitary(rng, n):
 
 @st.composite
 def eigen_inputs(draw):
-    """Random, exactly degenerate, near-threshold-gap and slightly non-Hermitian matrices."""
+    """Random, exactly degenerate, nearly degenerate and slightly non-Hermitian matrices."""
     kind = draw(st.sampled_from(["random", "identity", "blocks", "gap", "defect"]))
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -111,15 +111,15 @@ def eigen_inputs(draw):
     a = draw(st.sampled_from([1.0, 1e-3, 1e3])) * (a + a.conj().T)
     if kind == "defect":  # non-Hermitian by less than the 1e-12 the wrapper admits
         return a + draw(st.sampled_from([1e-15, 1e-13, 3e-13])) * rng.uniform(-1.0, 1.0, size=(n, n))
-    if kind == "gap":  # nearly degenerate: two levels about 1e-10 * max |a| apart
+    if kind == "gap":  # nearly degenerate: two levels a fixed fraction of max |a| apart
         levels = np.append(np.sort(rng.normal(size=n)), draw(st.sampled_from([0.5, 2.0, 700.0])))
-        factor = draw(st.sampled_from([0.999, 0.9999, 1.0001, 1.001]))
+        relative = draw(st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8]))
         q = random_unitary(rng, n + 2) if draw(st.booleans()) else np.eye(n + 2)
 
         def with_gap(gap):
             return (q * np.append(levels, levels[-1] + gap)) @ q.conj().T
 
-        return with_gap(1e-10 * factor * max(1.0, np.abs(with_gap(0.0)).max()))
+        return with_gap(relative * max(1.0, np.abs(with_gap(0.0)).max()))
     return a
 
 

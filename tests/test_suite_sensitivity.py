@@ -1,4 +1,4 @@
-"""Each one-line fault in the dynamics must make the suite fail a named check.
+"""Each one-line fault in the dynamics or the spectrum gate must make the suite fail a named check.
 
 A mutant replaces one library function in every module that calls it; the
 suite then runs in-process.  After exactly N ticks every time direction and
@@ -6,6 +6,9 @@ every shift rule give the identity, so these faults are seen only by the
 one- and two-tick checks.  A density guard whose eigenvalue floor is -1
 passes every density the suite draws, so only its negative control sees it,
 and so does a rationalize that rejects a convergent exactly at the tolerance.
+A gate that halves omega still reproduces every energy exactly, so of the gate
+checks only maximality sees it; a trial tick stretched by one part in a
+million is seen by soundness.
 """
 
 import numpy as np
@@ -16,14 +19,25 @@ import qclock.numerics as numerics
 import qclock.phase_space as phase_space
 import qclock.spectrum as spectrum
 import qclock.verification as verification
+from qclock import SpectrumDecomposition
 from qclock.verification import run_suite
 
+_conjugate = dynamics._conjugate
+_conjugate_unitary = dynamics.conjugate_unitary
 _evolve_density = dynamics.evolve_density
 _stroboscopic_step = dynamics.stroboscopic_step
 
 
 def reversed_conjugate_diagonal(rho, phases):
     return rho * np.outer(np.conj(phases), phases)
+
+
+def reversed_conjugate(rho, g):
+    return _conjugate(rho, g.conj().T)
+
+
+def reversed_conjugate_unitary(rho, g):
+    return _conjugate_unitary(rho, g.conj().T)
 
 
 def reversed_evolve_density(rho, hamiltonian, t):
@@ -43,13 +57,16 @@ def overshooting_stroboscopic_step(grid, k, sign):
     [
         ("conjugate_diagonal", reversed_conjugate_diagonal, "clock-periodicity-skewed-one-tick"),
         ("evolve_density", reversed_evolve_density, "clock-periodicity-harmonic-one-tick"),
+        ("_conjugate", reversed_conjugate, "clock-periodicity-skewed-one-tick"),
+        ("conjugate_unitary", reversed_conjugate_unitary, "clock-periodicity-harmonic-one-tick"),
         ("stroboscopic_step", unsigned_stroboscopic_step, "dynamics-shift-vs-evolution-skewed-one-tick"),
         ("stroboscopic_step", overshooting_stroboscopic_step, "dynamics-shift-vs-evolution-harmonic-two-ticks"),
     ],
 )
 def test_suite_fails_a_named_check_for_each_dynamics_mutant(monkeypatch, name, mutant, caught_by):
     for module in (dynamics, verification):
-        monkeypatch.setattr(module, name, mutant)
+        if hasattr(module, name):  # the shared conjugation step is private to dynamics
+            monkeypatch.setattr(module, name, mutant)
     failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
     assert caught_by in failing
 
@@ -85,3 +102,52 @@ def test_suite_fails_the_tolerance_edge_control_when_rationalize_is_strict(monke
         monkeypatch.setattr(module, "_convergent", strict_convergent)
     failing = {chk.name for chk in run_suite(dim, seed).checks if not chk.passed}
     assert "control-rationalize-tolerance-edge" in failing
+
+
+_decompose = spectrum._decompose
+_gate_trials = verification._gate_trials
+_decompose_spectrum = verification.decompose_spectrum
+
+
+def halving_decompose(n, nums, dens):
+    """omega/2 with k' = 2k mod N and f' = 2f + c*m (2k = k' + c*N): every energy still exact."""
+    result = _decompose(n, nums, dens)
+    if not isinstance(result, SpectrumDecomposition):
+        return result
+    k, carry = (2 * result.k) % n, (2 * result.k) // n
+    f = tuple(2 * f_m + carry * m for m, f_m in enumerate(result.f))
+    return SpectrumDecomposition(dim=n, omega=result.omega / 2, k=k, f=f)
+
+
+class StretchedTick(SpectrumDecomposition):
+    @property
+    def delta_tau(self) -> float:
+        return super().delta_tau * (1 + 1e-6)
+
+
+def test_suite_fails_maximality_when_the_gate_halves_omega(monkeypatch):
+    monkeypatch.setattr(spectrum, "_decompose", halving_decompose)
+    failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
+    assert "spectrum-lambda-maximality" in failing
+
+
+def test_suite_fails_soundness_when_each_trial_tick_is_stretched(monkeypatch):
+    # only the gate trials' decompositions: with the canonical spectra's tick stretched
+    # too, the suite stops at its first exchange phase instead of failing a check
+    trials = set()
+
+    def recording(*args):
+        drawn = _gate_trials(*args)
+        trials.update(id(spec) for spec, _ in drawn)
+        return drawn
+
+    def stretching(spec):
+        result = _decompose_spectrum(spec)
+        if id(spec) in trials and isinstance(result, SpectrumDecomposition):
+            return StretchedTick(result.dim, result.omega, result.k, result.f)
+        return result
+
+    monkeypatch.setattr(verification, "_gate_trials", recording)
+    monkeypatch.setattr(verification, "decompose_spectrum", stretching)
+    failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
+    assert failing == {"spectrum-soundness", "spectrum-perturbation-reject"}

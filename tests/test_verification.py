@@ -8,14 +8,17 @@ import qclock.verification as verification
 from qclock import (
     Spectrum,
     SpectrumDecomposition,
+    analyze_float_spectrum,
     build_pair,
     build_time_operator,
     clock_diagonal,
     decompose_spectrum,
     exp_hermitian,
     is_odd_prime,
+    rational_gcd,
     shift_eigenvector,
 )
+from qclock.spectrum import DEFAULT_MAX_DENOMINATOR, DEFAULT_TOLERANCE
 from qclock.verification import harmonic_spectrum, measure_signs, run_suite, skewed_spectrum
 
 
@@ -67,7 +70,7 @@ def test_tio_column_readings_are_the_dense_readings(dim, family):
     assert abs(trace_defect - abs(np.trace(t).real - expected)) <= max(1e-13, 2 * np.spacing(expected))
 
 
-def test_suite_exponentiates_three_times_for_additivity_and_once_per_evolve_density(monkeypatch):
+def test_suite_exponentiates_five_times_and_evolves_density_twice(monkeypatch):
     calls = {"verification": 0, "dynamics": 0}
 
     def counting(binding):
@@ -81,8 +84,9 @@ def test_suite_exponentiates_three_times_for_additivity_and_once_per_evolve_dens
     monkeypatch.setattr(verification, "exp_hermitian", counting("verification"))
     monkeypatch.setattr(dynamics, "exp_hermitian", counting("dynamics"))
     report = run_suite(5)
-    assert calls["verification"] == 3  # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t))
-    assert calls["dynamics"] == 2 * (5 + 1)  # clock-periodicity: N ticks and one tick, per spectrum
+    # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t)); clock-periodicity: one propagator per spectrum
+    assert calls["verification"] == 3 + 2
+    assert calls["dynamics"] == 2  # clock-periodicity-*-one-tick: one evolve_density call per spectrum
     assert {chk.name for chk in report.checks if not chk.passed} == {"spectrum-perturbation-reject"}
 
 
@@ -144,10 +148,39 @@ def test_gate_trials_draw_the_stream_of_sequential_spectra(dim, seed):
     assert batched.normal() == sequential.normal()
 
 
+def _gate_residuals_one_trial_at_a_time(pair, trials) -> dict:
+    """The four gate residuals as a loop reads them: each trial's gcd as a Fraction, its floats
+    through numpy and its own one-tick propagator."""
+    dim = pair.dim
+    soundness, id_failures, gcd_failures, perturb_failures = 0.0, 0, 0, 0
+    for spec, index in trials:
+        dec = decompose_spectrum(spec)
+        if not isinstance(dec, SpectrumDecomposition) or not dec.matches(spec):
+            id_failures += 1
+            continue
+        p, q = dec.omega.as_integer_ratio()
+        ratios = [a * q // (b * p) for a, b in spec.pairs]
+        if rational_gcd([r for r in ratios if r != 0]) != 1:
+            gcd_failures += 1
+        soundness = max(soundness, float(np.abs(dec.tick_phases(1) - clock_diagonal(pair, -dec.k)).max()))
+        floats = spec.as_floats().tolist()
+        floats[index] += verification._PERTURBATION
+        outcome = analyze_float_spectrum(floats, dim, DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
+        if isinstance(outcome, SpectrumDecomposition):
+            perturb_failures += 1
+    return {
+        "spectrum-soundness": soundness,
+        "spectrum-completeness": float(id_failures),
+        "spectrum-lambda-maximality": float(gcd_failures),
+        "spectrum-perturbation-reject": float(perturb_failures),
+    }
+
+
 @pytest.mark.parametrize("dim", [3, 5, 7, 31])
 @pytest.mark.parametrize("seed", [0, 42, 1093])
 def test_soundness_is_the_largest_per_trial_gap(monkeypatch, dim, seed):
-    # the suite reads every trial's gap in one stacked comparison; the loop is the reference
+    # with the other three gate residuals: the suite reads every trial's gap in one stacked
+    # exponential, and the gcd and floats from the integer pairs; the loop over trials is the reference
     drawn = []
 
     def recording(*args):
@@ -159,10 +192,6 @@ def test_soundness_is_the_largest_per_trial_gap(monkeypatch, dim, seed):
     monkeypatch.setattr(verification, "_gate_trials", recording)
     report = run_suite(dim, seed)
     assert len(drawn) == 100
-    pair = build_pair(dim)
-    expected = 0.0
-    for spec, _ in drawn:
-        dec = decompose_spectrum(spec)
-        expected = max(expected, float(np.abs(dec.tick_phases(1) - clock_diagonal(pair, -dec.k)).max()))
-    (soundness,) = [chk.residual for chk in report.checks if chk.name == "spectrum-soundness"]
-    assert repr(soundness) == repr(expected)
+    expected = _gate_residuals_one_trial_at_a_time(build_pair(dim), drawn)
+    residuals = {chk.name: chk.residual for chk in report.checks if chk.name in expected}
+    assert {name: repr(r) for name, r in residuals.items()} == {name: repr(r) for name, r in expected.items()}
