@@ -15,11 +15,12 @@ from qclock import (
     build_pair,
     clock_run,
     decompose_spectrum,
-    evolve_density,
+    exp_hermitian,
     shift_eigenvector,
     shift_vs_evolution_residual,
     wigner_of_density,
 )
+from qclock.dynamics import conjugate_unitary
 
 N = 5
 spec = Spectrum(N, (0, 7, 24, 51, 88))  # k = 2: the counter advances two sites per tick
@@ -37,7 +38,7 @@ print("site sequence is (0 - 2j) mod 5; tick 5 is back at site 0")
 
 print("\nbetween ticks the state is spread out (populations at half a tick):")
 vec = shift_eigenvector(pair, 0)
-rho = evolve_density(np.outer(vec, vec.conj()), np.diag(spec.as_floats()), dec.delta_tau / 2)
+rho = conjugate_unitary(np.outer(vec, vec.conj()), exp_hermitian(np.diag(spec.as_floats()), dec.delta_tau / 2))
 populations = wigner_of_density(basis, rho).real.sum(axis=0) / N
 print("  ", np.round(populations, 4))
 

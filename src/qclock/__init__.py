@@ -10,7 +10,6 @@ algebraic identity cross-checked at machine precision.
 __version__ = "0.1.0"
 
 from .errors import (
-    AllZero,
     DimensionMismatch,
     DimensionNotOddPrime,
     IncompatibleSpectrum,
@@ -30,7 +29,6 @@ from .numerics import (
     hermitian_eig,
     hermiticity_defect,
     is_odd_prime,
-    rational_gcd,
     rationalize,
 )
 from .schwinger import (
@@ -74,7 +72,6 @@ from .dynamics import (
     ClockStep,
     ClockTrace,
     clock_run,
-    evolve_density,
     measure_shift_sign,
     shift_vs_evolution_residual,
     stroboscopic_step,
@@ -84,7 +81,6 @@ from .verification import (
     SuiteReport,
     harmonic_spectrum,
     measure_signs,
-    random_compatible_spectrum,
     run_suite,
     skewed_spectrum,
 )

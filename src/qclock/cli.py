@@ -582,6 +582,9 @@ def main(argv=None) -> int:
         code, prefix = next((c, p) for kinds, c, p in _FAILURES if isinstance(exc, kinds))
         _report_error(f"{prefix}{exc}")
         return code
+    except Exception as exc:  # a fault of the program, not of the input: exit 5, not a traceback and exit 1
+        _report_error(f"internal failure: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IncompatibleSpectrum, IndexOutOfRange, InternalConsistency
-from .numerics import exp_hermitian
 from .phase_space import OperatorBasis, check_density, map_operator, wigner_of_density
 from .schwinger import SchwingerPair, shift_eigenvector
 from .spectrum import Spectrum, SpectrumDecomposition
@@ -43,36 +42,16 @@ class ClockTrace:
     steps: tuple
 
 
-def _conjugate(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g rho g^dagger: the one conjugation both evolution forms share."""
-    return g @ rho @ g.conj().T
-
-
-def evolve_density(rho, hamiltonian, t: float) -> np.ndarray:
-    """Conjugate a density matrix by the propagator exp(-i*H*t).
-
-    Purity is preserved; t = 0 is the identity.
-    """
-    rho = check_density(rho)
-    hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
-    if hamiltonian.shape != rho.shape:
-        raise DimensionMismatch(
-            f"hamiltonian shape {hamiltonian.shape} != state shape {rho.shape}"
-        )
-    return _conjugate(rho, exp_hermitian(hamiltonian, t))
-
-
 def conjugate_unitary(rho, g) -> np.ndarray:
-    """g rho g^dagger for a propagator g the caller formed, such as exp_hermitian(H, t).
+    """g rho g^dagger: rho evolved by a propagator g the caller formed, such as exp_hermitian(H, t).
 
-    evolve_density(rho, H, t) bit for bit when g is exp_hermitian(H, t), so
-    repeated ticks of one H share one eigensolve.  rho is guarded as there.
+    rho is checked as a density matrix; repeated ticks of one H share one propagator.
     """
     rho = check_density(rho)
     g = np.asarray(g, dtype=np.complex128)
     if g.shape != rho.shape:
         raise DimensionMismatch(f"propagator shape {g.shape} != state shape {rho.shape}")
-    return _conjugate(rho, g)
+    return g @ rho @ g.conj().T
 
 
 def stroboscopic_step(grid, k: int, sign: int) -> np.ndarray:

@@ -17,10 +17,6 @@ class NoRationalWithinTolerance(QClockError):
     """No continued-fraction convergent meets the requested tolerance."""
 
 
-class AllZero(QClockError):
-    """Rational gcd of an all-zero collection is undefined."""
-
-
 class DimensionNotOddPrime(QClockError):
     """The construction requires an odd prime dimension."""
 

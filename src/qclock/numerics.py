@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    AllZero,
     DimensionMismatch,
     NoConvergence,
     NoRationalWithinTolerance,
@@ -129,24 +128,23 @@ def exchange_phase(d, w, tol: float) -> complex:
     than tol, a NaN anywhere, or a C @ D that vanishes raises NotScalarMultiple (a
     bug).  Only the lags where w is nonzero are formed, O(N) each; both products
     are exactly zero at the rest, so reading and check are those of the dense ones.
+
+    One pair of shape (N,) gives a complex.  Stacks d[..., :] and w[..., :] of shape
+    (..., N) that broadcast give c of their shape less N, each entry its pair's
+    reading bit for bit, and raise NotScalarMultiple if any pair would.  The pairs
+    share the union of their nonzero lags: a lag where w[b] is zero gives pair b
+    exact zeros, which never win its reading and never add to its defect (0 * inf is
+    NaN, but an inf in d[b] already makes pair b raise).  Operands that are 0-d, that
+    differ in N or that do not broadcast raise DimensionMismatch.
     """
     d, w = np.asarray(d), np.asarray(w)
-    if d.ndim != 1 or w.shape != d.shape:
+    if not d.ndim or not w.ndim or d.shape[-1] != w.shape[-1]:
         raise DimensionMismatch(f"diagonal of shape {d.shape} does not fit circulant column of shape {w.shape}")
-    return complex(_exchange_phases(d, w, tol))
-
-
-def _exchange_phases(d: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
-    """exchange_phase of each pair (d[..., :], w[..., :]) of stacks of shape (..., N) that broadcast.
-
-    Returns c of the stacks' shape less N, each entry exchange_phase of its pair bit for bit,
-    and raises NotScalarMultiple if any pair would.  The pairs share the union of their
-    nonzero lags: a lag where w[b] is zero gives pair b exact zeros, which never win its
-    reading and never add to its defect (0 * inf is NaN, but an inf in d[b] already
-    makes pair b raise).  A single pair of shape (N,) is read as a stack of one.
-    """
     if d.shape != w.shape:
-        d, w = np.broadcast_arrays(d, w)
+        try:
+            d, w = np.broadcast_arrays(d, w)
+        except ValueError:
+            raise DimensionMismatch(f"stacks of shapes {d.shape} and {w.shape} do not broadcast") from None
     n, shape = d.shape[-1], d.shape[:-1]
     pairs = math.prod(shape)
     d, w = d.reshape(pairs, n), w.reshape(pairs, n)
@@ -183,7 +181,7 @@ def _exchange_phases(d: np.ndarray, w: np.ndarray, tol: float) -> np.ndarray:
         if not np.isfinite(c).all():
             raise NotScalarMultiple("C @ diag(d) has no finite nonzero entry to read a phase at")
         raise NotScalarMultiple(f"diag(d) @ C is not a scalar multiple of C @ diag(d) (defect {defect:.3e})")
-    return c.reshape(shape)
+    return c.reshape(shape) if shape else complex(c[0])
 
 
 def rationalize(x: float, tolerance: float, max_denominator: int) -> Fraction:
@@ -240,22 +238,3 @@ def _convergent(x: float, tolerance: tuple, max_denominator: int) -> tuple | Non
         if rem * d <= cb * q:
             return p, q  # consecutive convergents: coprime, q >= 1
         num, den = den, rem
-
-
-def rational_gcd(xs) -> Fraction:
-    """Largest positive rational dividing every input into an integer.
-
-    For fractions p_i/q_i in lowest terms this is gcd(p_i)/lcm(q_i); signs
-    are ignored and zeros are transparent.  Raises AllZero when every input
-    vanishes (every rational would divide).
-    """
-    num, den = 0, 1
-    for x in xs:
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        if x:
-            num = math.gcd(num, x.numerator)
-            den = math.lcm(den, x.denominator)
-    if not num:
-        raise AllZero("rational gcd needs at least one nonzero value")
-    return Fraction(num, den)

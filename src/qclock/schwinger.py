@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionNotOddPrime, IndexOutOfRange, NotScalarMultiple
-from .numerics import _circulant, _exchange_phases, is_odd_prime
+from .numerics import _circulant, exchange_phase, is_odd_prime
 
 _SCALAR_TOL = 1e-12
 
@@ -106,8 +106,7 @@ def commutation_phase(pair: SchwingerPair, j: int, l: int) -> complex:
     """
     # reduced first, so that a Python int past int64 stays an integer index
     diagonals = clock_diagonal(pair, np.asarray(j % pair.dim)[..., None])
-    phases = _exchange_phases(diagonals, _shift_column(pair.dim, np.asarray(l % pair.dim)[..., None]), _SCALAR_TOL)
-    return complex(phases) if phases.ndim == 0 else phases
+    return exchange_phase(diagonals, _shift_column(pair.dim, np.asarray(l % pair.dim)[..., None]), _SCALAR_TOL)
 
 
 def measure_commutation_sign(pair: SchwingerPair) -> int:

@@ -232,13 +232,19 @@ class IncompatibilityCertificate:
 
     def __post_init__(self):
         if self.reason == RESIDUES_NOT_LINEAR:
-            assert self.residues is not None and self.first_bad_index is not None
+            required, forbidden = ("residues", "first_bad_index"), ()
         elif self.reason == NOT_COMMENSURABLE:
-            assert self.residues is None
+            required, forbidden = (), ("residues",)
         elif self.reason == DEGENERATE:
-            assert self.residues is None and self.first_bad_index is None
+            required, forbidden = (), ("residues", "first_bad_index")
         else:
             raise ValueError(f"unknown reason {self.reason!r}")
+        for name in required:
+            if getattr(self, name) is None:
+                raise ValueError(f"a {self.reason} certificate needs {name}")
+        for name in forbidden:
+            if getattr(self, name) is not None:
+                raise ValueError(f"a {self.reason} certificate has no {name}")
 
 
 DecompositionResult = Union[SpectrumDecomposition, IncompatibilityCertificate]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange, InternalConsistency
-from .numerics import _circulant, _exchange_phases
+from .numerics import _circulant, exchange_phase
 from .phase_space import OperatorBasis, map_operator
 from .schwinger import SchwingerPair
 from .spectrum import Spectrum, SpectrumDecomposition, reduce_mod_period
@@ -53,10 +53,6 @@ class TimeIntervalOperator:
     @property
     def matrix(self) -> np.ndarray:
         return _circulant(self.column)
-
-    def exp(self, t: float) -> np.ndarray:
-        """exp(-i*T*t) from the analytic eigensystem, without a numerical eigensolve."""
-        return _circulant(_exp_column(self, t))
 
 
 def _exp_column(top: TimeIntervalOperator, t: float) -> np.ndarray:
@@ -159,8 +155,7 @@ def verify_weyl_pair(
 
     reduced = decomp.tick_energies  # T's eigenvalues are multiples of the tick
     columns = _exp_column(top, reduced[ladder] - reduced[0])
-    phases = _exchange_phases(decomp.tick_phases(ticks), columns, _SCALAR_TOL)
-    return complex(phases) if phases.ndim == 0 else phases
+    return exchange_phase(decomp.tick_phases(ticks), columns, _SCALAR_TOL)
 
 
 def measure_weyl_sign(top: TimeIntervalOperator, decomp: SpectrumDecomposition) -> int:

@@ -20,13 +20,12 @@ from .dynamics import (
     clock_run,
     conjugate_diagonal,
     conjugate_unitary,
-    evolve_density,
     measure_shift_sign,
     shift_vs_evolution_residual,
     stroboscopic_step,
 )
-from .errors import NotADensityMatrix, NoRationalWithinTolerance
-from .numerics import _exchange_phases, exp_hermitian, hermitian_eig, rationalize
+from .errors import InternalConsistency, NotADensityMatrix, NoRationalWithinTolerance
+from .numerics import exchange_phase, exp_hermitian, hermitian_eig, rationalize
 from .phase_space import build_basis, check_density, map_operator, unmap_grid, wigner_of_density
 from .schwinger import (
     build_pair,
@@ -116,20 +115,13 @@ def _compatible_spectrum(dim: int, k: int, f, num: int, den: int) -> Spectrum:
     return Spectrum(dim=dim, energies=tuple([Fraction(num * (k * m + dim * f[m]), den) for m in range(dim)]))
 
 
-def random_compatible_spectrum(rng, dim: int):
-    """Seeded spectrum of the clock-compatible form; returns (spectrum, k, f, omega)."""
-    k = int(rng.integers(1, dim))
-    f = rng.integers(-20, 21, size=dim).tolist()
-    num, den = int(rng.integers(1, 13)), int(rng.integers(1, 13))
-    return _compatible_spectrum(dim, k, f, num, den), k, f, Fraction(num, den)
-
-
 def _gate_trials(rng, dim: int, trials: int) -> list:
     """(spectrum, index to perturb) per trial, all drawn in one call.
 
-    The stream is that of `trials` rounds of random_compatible_spectrum(rng, dim)
-    then rng.integers(0, dim): bounded integer draws take the same bits from
-    the generator whether they come one per call or many per call.
+    The stream is that of `trials` rounds of k = rng.integers(1, dim), the dim
+    offsets f = rng.integers(-20, 21, size=dim), omega's numerator and denominator
+    each from rng.integers(1, 13), then rng.integers(0, dim): bounded integer draws
+    take the same bits from the generator whether they come one per call or many.
     """
     width = dim + 4
     lo = [1] + [-20] * dim + [1, 1, 0]
@@ -190,7 +182,9 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     skewed = skewed_spectrum(n)
     d_harm = decompose_spectrum(harmonic)
     d_skew = decompose_spectrum(skewed)
-    assert isinstance(d_harm, SpectrumDecomposition) and isinstance(d_skew, SpectrumDecomposition)
+    for label, dec in (("harmonic", d_harm), ("skewed", d_skew)):
+        if not isinstance(dec, SpectrumDecomposition):
+            raise InternalConsistency(f"the canonical {label} spectrum fails the gate: {dec.detail}")
     top_harm = build_time_operator(pair, d_harm)
     top_skew = build_time_operator(pair, d_skew)
 
@@ -224,8 +218,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
 
     # clock/shift pair: the commutation table one shift power at a time, O(N^2) memory
     labels = np.arange(n)
-    # each target is the scalar exp(-2*pi*i*(j*l mod N)/N) of its residue
-    roots = np.array([np.exp(-2j * np.pi * x / n) for x in range(n)])
+    # each target is the scalar exp(s*2*pi*i*(j*l mod N)/N) of its residue, s the measured sign
+    roots = np.array([np.exp(signs["commutation_sign"] * 2j * np.pi * x / n) for x in range(n)])
     worst = max(_largest_gap(commutation_phase(pair, labels, l), roots[labels * l % n]) for l in range(n))
     checks.append(_upper("schwinger-commutation-table", worst, 1e-12))
     powers = labels[1:, None]
@@ -344,7 +338,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     worst = 0.0
     for j, reference in zip((1, 2), verify_weyl_pair(top_skew, d_skew, 1, np.array([1, 2]))):
         columns = _exp_column(top_skew, energies[j:] - energies[:-j])  # rung m against rung m + j
-        phases = _exchange_phases(prop, columns, 1e-10)
+        phases = exchange_phase(prop, columns, 1e-10)
         worst = max(worst, _largest_gap(phases, reference))
     checks.append(_upper("tio-weyl-gap-only", worst, 1e-10))
 
@@ -363,15 +357,14 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         state = shift_eigenvector(pair, 0)
         rho0 = np.outer(state, state.conj())
         h = np.diag(spec.as_floats().astype(np.complex128))
-        propagator = exp_hermitian(h, dec.delta_tau)  # evolve_density's, formed once for the N ticks
+        propagator = exp_hermitian(h, dec.delta_tau)  # formed once for the N ticks
         rho_1 = rho_n = conjugate_unitary(rho0, propagator)
         for _ in range(n - 1):
             rho_n = conjugate_unitary(rho_n, propagator)
         checks.append(_upper(f"clock-periodicity-{label}", _max_abs(rho_n - rho0), 1e-10))
-        # one tick sees the time direction, which N ticks (the identity) cannot; both
-        # evolution forms are read, and they agree bit for bit
-        diagonal = conjugate_diagonal(rho0, dec.tick_phases(1))
-        one_tick = max(_max_abs(evolve_density(rho0, h, dec.delta_tau) - diagonal), _max_abs(rho_1 - diagonal))
+        # one tick sees the time direction, which N ticks (the identity) cannot: the dense
+        # eigensolve's tick against the diagonal phases
+        one_tick = _max_abs(rho_1 - conjugate_diagonal(rho0, dec.tick_phases(1)))
         checks.append(_upper(f"clock-periodicity-{label}-one-tick", one_tick, 1e-10))
 
         rho = random_density(rng, n)

@@ -28,7 +28,6 @@ from qclock import (
     clock_power,
     clock_run,
     decompose_spectrum,
-    evolve_density,
     exp_hermitian,
     map_operator,
     measure_weyl_sign,
@@ -40,8 +39,9 @@ from qclock import (
     verify_weyl_pair,
     wigner_of_density,
 )
-from qclock.verification import random_compatible_spectrum
+from qclock.dynamics import conjugate_unitary
 from conftest import REPO_ROOT, cached_basis, cached_pair
+from reference import random_compatible_spectrum
 
 SMALL_DIMS = (3, 5, 7)
 ALL_DIMS = (3, 5, 7, 11, 13)
@@ -248,7 +248,7 @@ def test_criterion_6_negative_control():
     spec = Spectrum(5, (0, 1, 2, 3, 4))
     dec = decompose_spectrum(spec)
     vec = shift_eigenvector(pair, 0)
-    rho = evolve_density(np.outer(vec, vec.conj()), np.diag(spec.as_floats()), dec.delta_tau / 2)
+    rho = conjugate_unitary(np.outer(vec, vec.conj()), exp_hermitian(np.diag(spec.as_floats()), dec.delta_tau / 2))
     populations = wigner_of_density(basis, rho).real.sum(axis=0) / 5
     populations[int(np.argmax(populations))] = -np.inf
     offsite = float(np.max(populations))

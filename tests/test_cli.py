@@ -382,6 +382,29 @@ def test_wigner_csv_is_the_per_cell_fmt12_text(monkeypatch, capsys):
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        ("cli", "run_suite", ["verify", "--n", "3"]),
+        # measure_signs reads the commutation sign first
+        ("verification", "measure_commutation_sign", ["analyze", "--spectrum", HARMONIC]),
+    ],
+)
+def test_a_fault_that_is_no_qclock_error_exits_five_on_one_line(module, name, argv):
+    script = (
+        "import sys\n"
+        f"from qclock import cli, {module}\n"
+        "def fault(*args):\n"
+        "    raise ZeroDivisionError('planted fault')\n"
+        f"{module}.{name} = fault\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert proc.returncode == 5
+    assert proc.stderr == "error: internal failure: ZeroDivisionError: planted fault\n"
+    assert proc.stdout == ""
+
+
 def test_verify_n3_reports_and_exit():
     proc = run_cli("verify", "--n", "3")
     report = json.loads(proc.stdout)
@@ -728,10 +751,11 @@ def test_clock_and_wigner_at_n211(tmp_path):
         build_pair,
         clock_run,
         decompose_spectrum,
-        evolve_density,
+        exp_hermitian,
         shift_eigenvector,
         wigner_of_density,
     )
+    from qclock.dynamics import conjugate_unitary
 
     n = 211
     path = tmp_path / "harmonic_n211.json"
@@ -748,7 +772,7 @@ def test_clock_and_wigner_at_n211(tmp_path):
     assert peak_mb < 200
     vec = shift_eigenvector(pair, 0)
     hamiltonian = np.diag(spec.as_floats().astype(complex))
-    rho = evolve_density(np.outer(vec, vec.conj()), hamiltonian, decomp.delta_tau)
+    rho = conjugate_unitary(np.outer(vec, vec.conj()), exp_hermitian(hamiltonian, decomp.delta_tau))
     expected = wigner_of_density(basis, rho).real
     assert np.max(np.abs(np.array(json.loads(out)["values"]) - expected)) < 1e-12
 

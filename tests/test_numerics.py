@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclock import (
-    AllZero,
     DimensionMismatch,
     NoConvergence,
     NoRationalWithinTolerance,
@@ -18,12 +17,12 @@ from qclock import (
     exchange_phase,
     exp_hermitian,
     hermitian_eig,
-    rational_gcd,
     rationalize,
 )
-from qclock.numerics import _circulant, _exchange_phases
+from qclock.numerics import _circulant
 from qclock.schwinger import build_pair, clock_power, commutation_phase, shift_power
 from conftest import count_fraction_constructions
+from reference import AllZero, rational_gcd
 
 
 def reconstruction_residual(a, es):
@@ -396,6 +395,7 @@ def test_rationalize_is_the_same_for_every_numeric_type(x, tolerance, max_denomi
     assert len(answers) == 1
 
 
+# rational_gcd is the tests' reference for the gate's gcd (tests/reference.py); these pin it
 def test_rational_gcd_builds_only_its_result(monkeypatch):
     values = [Fraction(6 * m * m + 4, 2 * m + 3) for m in range(30)] + [0, 8, Fraction(0)]
     want = Fraction(
@@ -527,13 +527,23 @@ def test_exchange_phase_is_the_dense_reading_bit_for_bit(operands, tol):
 
 
 def test_exchange_phase_takes_the_diagonal_operand_as_its_diagonal():
+    """Each operand's last axis is one diagonal or one column: a matrix is a stack of them."""
     pair = build_pair(5)
-    with pytest.raises(DimensionMismatch):
-        exchange_phase(clock_power(pair, 1), shift_power(pair, 1)[:, 0], 1e-12)
-    with pytest.raises(DimensionMismatch):
-        exchange_phase(np.ones(3), shift_power(pair, 1)[:, 0], 1e-12)
-    with pytest.raises(DimensionMismatch):  # the circulant operand is its column, never the matrix
-        exchange_phase(np.ones(5), shift_power(pair, 1), 1e-12)
+    column = shift_power(pair, 1)[:, 0]
+    for d, w in (
+        (np.array(1.0), column),  # 0-d
+        (np.ones(5), np.array(1.0)),
+        (np.ones(3), column),  # N differs
+        (np.ones((2, 5)), np.ones((3, 5))),  # stacks that do not broadcast
+    ):
+        with pytest.raises(DimensionMismatch):
+            exchange_phase(d, w, 1e-12)
+    diagonals = np.array([clock_power(pair, j).diagonal() for j in range(5)])
+    readings = exchange_phase(diagonals, column, 1e-12)
+    assert readings.shape == (5,)
+    one_by_one = [np.complex128(exchange_phase(d, column, 1e-12)).tobytes() for d in diagonals]
+    assert [c.tobytes() for c in readings] == one_by_one
+    assert type(exchange_phase(diagonals[1], column, 1e-12)) is complex
 
 
 def test_commutation_phase_forms_no_dense_shift():
@@ -637,8 +647,8 @@ def test_stacked_exchange_phases_are_the_one_pair_readings(operands, tol):
                 break
         if want is NotScalarMultiple:  # one row that raises makes the stack raise
             with pytest.raises(NotScalarMultiple):
-                _exchange_phases(d, w, tol)
+                exchange_phase(d, w, tol)
         else:
-            got = _exchange_phases(d, w, tol)
+            got = exchange_phase(d, w, tol)
             assert got.shape == (len(d),)
             assert [c.tobytes() for c in got] == want

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -20,20 +22,18 @@ from qclock import (
     clock_power,
     decompose_spectrum,
     exp_hermitian,
-    rational_gcd,
     rationalize,
     rationalize_energies,
 )
 from qclock.spectrum import reduce_mod_period
-from qclock.verification import harmonic_spectrum, random_compatible_spectrum, skewed_spectrum
-from conftest import cached_pair, count_fraction_constructions
+from qclock.verification import harmonic_spectrum, skewed_spectrum
+from conftest import REPO_ROOT, cached_pair, count_fraction_constructions
+from reference import random_compatible_spectrum, rational_gcd
 
 
 def brute_force_clock_power(spec):
     """Independent oracle: try every k over the integer residues directly."""
     n = spec.dim
-    from qclock import rational_gcd
-
     gcd = rational_gcd([e for e in spec.energies if e != 0])
     residues = [int(e / gcd) % n for e in spec.energies]
     fits = [
@@ -100,6 +100,32 @@ def test_degenerate_spectrum_returns_a_certificate():
         assert cert.residues is None and cert.first_bad_index is None
 
 
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        (dict(reason=RESIDUES_NOT_LINEAR), "needs residues"),
+        (dict(reason=RESIDUES_NOT_LINEAR, residues=(0, 1, 1)), "needs first_bad_index"),
+        (dict(reason=NOT_COMMENSURABLE, residues=(0, 1, 1), first_bad_index=0), "has no residues"),
+        (dict(reason=DEGENERATE, first_bad_index=2), "has no first_bad_index"),
+        (dict(reason="Unknown"), "unknown reason"),
+    ],
+)
+def test_certificate_fields_are_checked_by_raising(fields, needle):
+    with pytest.raises(ValueError, match=needle):
+        IncompatibilityCertificate(**fields)
+
+
+def test_certificate_fields_are_checked_under_optimization():
+    # python -O strips assert statements; the field checks must still raise
+    code = (
+        "from qclock import RESIDUES_NOT_LINEAR, IncompatibilityCertificate\n"
+        "try:\n    IncompatibilityCertificate(reason=RESIDUES_NOT_LINEAR)\n"
+        "except ValueError:\n    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    assert subprocess.run([sys.executable, "-O", "-c", code], cwd=REPO_ROOT).returncode == 0
+
+
 def test_float_front_end_degenerate_certificate():
     cert = analyze_float_spectrum([0.5] * 5, 5, 1e-9, 10**6)
     assert cert == decompose_spectrum(Spectrum(5, (Fraction(1, 2),) * 5))
@@ -135,8 +161,6 @@ def test_lambda_is_maximal():
         spec, _, _, _ = random_compatible_spectrum(rng, 5)
         dec = decompose_spectrum(spec)
         ratios = [int(e / dec.omega) for e in spec.energies]
-        from qclock import rational_gcd
-
         assert rational_gcd([r for r in ratios if r != 0]) == 1
 
 

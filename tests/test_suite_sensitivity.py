@@ -1,4 +1,4 @@
-"""Each one-line fault in the dynamics or the spectrum gate must make the suite fail a named check.
+"""Each one-line fault in the dynamics, the spectrum gate or a reported sign must make the suite fail a named check.
 
 A mutant replaces one library function in every module that calls it; the
 suite then runs in-process.  After exactly N ticks every time direction and
@@ -8,7 +8,9 @@ passes every density the suite draws, so only its negative control sees it,
 and so does a rationalize that rejects a convergent exactly at the tolerance.
 A gate that halves omega still reproduces every energy exactly, so of the gate
 checks only maximality sees it; a trial tick stretched by one part in a
-million is seen by soundness.
+million is seen by soundness.  A commutation sign reported as +1 leaves every
+exchange phase as it is, and only the commutation table, whose targets follow
+the reported sign, sees it.
 """
 
 import numpy as np
@@ -22,9 +24,7 @@ import qclock.verification as verification
 from qclock import SpectrumDecomposition
 from qclock.verification import run_suite
 
-_conjugate = dynamics._conjugate
 _conjugate_unitary = dynamics.conjugate_unitary
-_evolve_density = dynamics.evolve_density
 _stroboscopic_step = dynamics.stroboscopic_step
 
 
@@ -32,16 +32,8 @@ def reversed_conjugate_diagonal(rho, phases):
     return rho * np.outer(np.conj(phases), phases)
 
 
-def reversed_conjugate(rho, g):
-    return _conjugate(rho, g.conj().T)
-
-
 def reversed_conjugate_unitary(rho, g):
     return _conjugate_unitary(rho, g.conj().T)
-
-
-def reversed_evolve_density(rho, hamiltonian, t):
-    return _evolve_density(rho, hamiltonian, -t)
 
 
 def unsigned_stroboscopic_step(grid, k, sign):
@@ -56,8 +48,6 @@ def overshooting_stroboscopic_step(grid, k, sign):
     "name, mutant, caught_by",
     [
         ("conjugate_diagonal", reversed_conjugate_diagonal, "clock-periodicity-skewed-one-tick"),
-        ("evolve_density", reversed_evolve_density, "clock-periodicity-harmonic-one-tick"),
-        ("_conjugate", reversed_conjugate, "clock-periodicity-skewed-one-tick"),
         ("conjugate_unitary", reversed_conjugate_unitary, "clock-periodicity-harmonic-one-tick"),
         ("stroboscopic_step", unsigned_stroboscopic_step, "dynamics-shift-vs-evolution-skewed-one-tick"),
         ("stroboscopic_step", overshooting_stroboscopic_step, "dynamics-shift-vs-evolution-harmonic-two-ticks"),
@@ -65,10 +55,19 @@ def overshooting_stroboscopic_step(grid, k, sign):
 )
 def test_suite_fails_a_named_check_for_each_dynamics_mutant(monkeypatch, name, mutant, caught_by):
     for module in (dynamics, verification):
-        if hasattr(module, name):  # the shared conjugation step is private to dynamics
-            monkeypatch.setattr(module, name, mutant)
+        monkeypatch.setattr(module, name, mutant)
     failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
     assert caught_by in failing
+
+
+def test_suite_fails_the_commutation_table_when_the_reported_sign_is_wrong(monkeypatch):
+    monkeypatch.setattr(verification, "measure_commutation_sign", lambda pair: 1)
+    report = run_suite(5)
+    assert report.signs["commutation_sign"] == 1
+    assert {chk.name for chk in report.checks if not chk.passed} == {
+        "schwinger-commutation-table",
+        "spectrum-perturbation-reject",
+    }
 
 
 def test_suite_fails_the_density_control_when_the_eigenvalue_floor_is_minus_one(monkeypatch):

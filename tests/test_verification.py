@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qclock.dynamics as dynamics
 import qclock.verification as verification
 from qclock import (
+    InternalConsistency,
     Spectrum,
     SpectrumDecomposition,
     analyze_float_spectrum,
@@ -15,11 +15,11 @@ from qclock import (
     decompose_spectrum,
     exp_hermitian,
     is_odd_prime,
-    rational_gcd,
     shift_eigenvector,
 )
 from qclock.spectrum import DEFAULT_MAX_DENOMINATOR, DEFAULT_TOLERANCE
 from qclock.verification import harmonic_spectrum, measure_signs, run_suite, skewed_spectrum
+from reference import random_compatible_spectrum, rational_gcd
 
 
 def squares_spectrum(dim):
@@ -70,24 +70,26 @@ def test_tio_column_readings_are_the_dense_readings(dim, family):
     assert abs(trace_defect - abs(np.trace(t).real - expected)) <= max(1e-13, 2 * np.spacing(expected))
 
 
-def test_suite_exponentiates_five_times_and_evolves_density_twice(monkeypatch):
-    calls = {"verification": 0, "dynamics": 0}
+def test_suite_exponentiates_five_times(monkeypatch):
+    calls = []
 
-    def counting(binding):
-        def exp(a, t):
-            calls[binding] += 1
-            return exp_hermitian(a, t)
+    def counting(a, t):
+        calls.append(t)
+        return exp_hermitian(a, t)
 
-        return exp
-
-    # each module's own binding of exp_hermitian: every call the suite makes goes through one
-    monkeypatch.setattr(verification, "exp_hermitian", counting("verification"))
-    monkeypatch.setattr(dynamics, "exp_hermitian", counting("dynamics"))
+    # verification is the only module that binds exp_hermitian, so every call the suite makes goes through it
+    monkeypatch.setattr(verification, "exp_hermitian", counting)
     report = run_suite(5)
     # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t)); clock-periodicity: one propagator per spectrum
-    assert calls["verification"] == 3 + 2
-    assert calls["dynamics"] == 2  # clock-periodicity-*-one-tick: one evolve_density call per spectrum
+    assert len(calls) == 3 + 2
     assert {chk.name for chk in report.checks if not chk.passed} == {"spectrum-perturbation-reject"}
+
+
+def test_suite_raises_when_a_canonical_spectrum_fails_the_gate(monkeypatch):
+    degenerate = decompose_spectrum(Spectrum(5, (1,) * 5))
+    monkeypatch.setattr(verification, "decompose_spectrum", lambda spec: degenerate)
+    with pytest.raises(InternalConsistency, match="canonical harmonic spectrum"):
+        run_suite(5)
 
 
 SUITE_CHECKS_N5 = [
@@ -140,7 +142,7 @@ def test_gate_trials_draw_the_stream_of_sequential_spectra(dim, seed):
     trials = verification._gate_trials(batched, dim, 100)
     assert len(trials) == 100
     for spec, index in trials:
-        expected, _, _, _ = verification.random_compatible_spectrum(sequential, dim)
+        expected, _, _, _ = random_compatible_spectrum(sequential, dim)
         assert spec == expected
         assert index == int(sequential.integers(0, dim))
     # a small range reads the generator's buffered 32-bit half, a normal whole words
