@@ -176,9 +176,9 @@ def shift_vs_evolution_residual(
     """Largest entrywise gap between direct evolution and the shift rule.
 
     Path A evolves rho tick by tick and maps the final state to its Wigner
-    grid; path B applies the rigid column shift (with the measured sign) to
-    the initial grid the same number of times.  Works for any valid density
-    matrix, mixed states included.
+    grid; path B shifts the initial grid's columns by count*k (mod N) with
+    the measured sign, which is the one-tick rule applied count times, exactly.
+    Works for any valid density matrix, mixed states included.
 
     A sequence of tick counts gives one residual per count, each the one-count
     call's: rho is checked and the sign measured once, rho is evolved once up to
@@ -194,7 +194,7 @@ def shift_vs_evolution_residual(
     sign = measure_shift_sign(pair, decomp)
     tick = decomp.tick_phases(1)
 
-    # the states and grids at the counts asked for, kept as the ticks pass them
+    # the states at the counts asked for, kept as the ticks pass them
     wanted, last = set(counts), max(counts, default=0)
     evolved, state = {0: rho}, rho
     for step in range(1, last + 1):
@@ -204,11 +204,9 @@ def shift_vs_evolution_residual(
     # rho is checked above; each evolved state is checked again before its map
     direct = [check_density(evolved[count]) if count else rho for count in counts]
     *direct_grids, grid = map_operator(basis, np.stack(direct + [rho]))
-    shifted = {0: grid}
-    for step in range(1, last + 1):
-        grid = stroboscopic_step(grid, decomp.k % n, sign)
-        if step in wanted:
-            shifted[step] = grid
 
-    residuals = [float(np.abs(grid - shifted[count]).max()) for grid, count in zip(direct_grids, counts)]
+    residuals = [
+        float(np.abs(direct_grid - stroboscopic_step(grid, count * decomp.k % n, sign)).max())
+        for direct_grid, count in zip(direct_grids, counts)
+    ]
     return residuals[0] if np.ndim(n_steps) == 0 else np.array(residuals)

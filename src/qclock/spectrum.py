@@ -123,13 +123,6 @@ def _phase_vector(energies: np.ndarray, t: float) -> np.ndarray:
     return np.exp(energies * (-1j * float(t)))
 
 
-def _over_common_denominator(values, unit: Fraction):
-    """Integers a, u, D with values[i] = a[i]/D and unit = u/D."""
-    den = math.lcm(unit.denominator, *(v.denominator for v in values))
-    scaled = [v.numerator * (den // v.denominator) for v in values]
-    return scaled, unit.numerator * (den // unit.denominator), den
-
-
 def reduce_mod_period(energies, omega: Fraction, dim: int) -> np.ndarray:
     """E_m mod N*omega for each rational energy, exact in integers, then float64.
 
@@ -139,9 +132,10 @@ def reduce_mod_period(energies, omega: Fraction, dim: int) -> np.ndarray:
     [0, N*omega), so their float products with t are accurate however large
     the energies are.  Only omega enters, never k or f.
     """
-    scaled, unit, den = _over_common_denominator(energies, omega)
-    period = dim * unit
-    return np.array([(a % period) / den for a in scaled])
+    # over one common denominator D: E_m = a_m/D and N*omega = period/D, all integers
+    den = math.lcm(omega.denominator, *(e.denominator for e in energies))
+    period = dim * omega.numerator * (den // omega.denominator)
+    return np.array([(e.numerator * (den // e.denominator) % period) / den for e in energies])
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,8 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
     not gate.
 
     A sequence of gaps gives one residual per gap, each the one-gap call's: the
-    energies are reduced once and every column comes from one stacked product.
+    energies are reduced once, and each gap's N - s columns are formed on their
+    own, so memory stays O(N^2) however many gaps are asked for.
     """
     n = top.dim
     if spec.dim != n:
@@ -116,17 +117,13 @@ def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> fl
     if outside.size:
         raise ValueError(f"gap s={outside[0]} outside 0..{n - 1}")
     reduced = reduce_mod_period(spec.energies, top.decomp.omega, n)
-    # column c pairs rung lo[c] with rung lo[c] + gap; the gaps' columns lie in runs of N - gap
-    runs = n - gaps
-    starts = np.cumsum(runs) - runs
-    lo = np.arange(runs.sum()) - np.repeat(starts, runs)
-    owner = np.repeat(np.arange(gaps.size), runs)
-    columns = _exp_column(top, reduced[lo + gaps[owner]] - reduced[lo])
-    # exp(-i*T*t) and shift^(-k*s) are circulant: their largest gap is the largest over one
-    # column, and column 0 of shift^(-k*s) is the unit vector at k*s mod N
-    columns[np.arange(owner.size), (top.decomp.k * gaps % n)[owner]] -= 1
-    worst = np.abs(columns).max(axis=1)
-    residuals = np.maximum.reduceat(worst, starts) if gaps.size else worst
+    residuals = np.empty(gaps.size)
+    for i, gap in enumerate(gaps.tolist()):
+        columns = _exp_column(top, reduced[gap:] - reduced[: n - gap])  # rung m against rung m + gap
+        # exp(-i*T*t) and shift^(-k*s) are circulant: their largest gap is the largest over one
+        # column, and column 0 of shift^(-k*s) is the unit vector at k*s mod N
+        columns[:, top.decomp.k * gap % n] -= 1
+        residuals[i] = np.abs(columns).max()
     return float(residuals[0]) if np.ndim(s) == 0 else residuals
 
 

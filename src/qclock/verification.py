@@ -226,9 +226,8 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     worst = _max_abs(clock_diagonal(pair, n - powers) - 1 / clock_diagonal(pair, powers))
     checks.append(_upper("schwinger-cyclic-inverse", worst, 1e-12))
     eye = np.eye(n)
-    # column m of shift^s, i.e. shift^s @ e_m, is e_{m-s}: entry [s, :, m] of the stack
-    expected = eye[:, (labels - labels[:, None]) % n].transpose(1, 0, 2)
-    worst = _max_abs(np.array([shift_power(pair, s) for s in range(n)]) - expected)
+    # column m of shift^s, i.e. shift^s @ e_m, is e_{m-s}; one power at a time, O(N^2) memory
+    worst = max(_max_abs(shift_power(pair, s) - eye[:, (labels - s) % n]) for s in range(n))
     checks.append(_upper("schwinger-shift-action", worst, 0.0))
     unitarity = _max_abs(pair.fourier @ pair.fourier.conj().T - eye)
     checks.append(_upper("schwinger-fourier-unitary", unitarity, 1e-12))
@@ -341,6 +340,11 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
         phases = exchange_phase(prop, columns, 1e-10)
         worst = max(worst, _largest_gap(phases, reference))
     checks.append(_upper("tio-weyl-gap-only", worst, 1e-10))
+    # T's propagator between ticks, where a conjugated column is not the true one: on the tick
+    # grid exp(-i*T*t) is a real shift power, and every other tio check reads it there
+    t = 0.37 * top_skew.delta_tau
+    off_tick = _max_abs(_exp_column(top_skew, t) - exp_hermitian(top_skew.matrix, t)[:, 0])
+    checks.append(_upper("tio-propagator-off-tick", off_tick, 1e-10))
 
     # dynamics
     for label, spec, dec in (("harmonic", harmonic, d_harm), ("skewed", skewed, d_skew)):

@@ -306,6 +306,23 @@ def test_incompatible_spectrum_never_confines():
     assert min(offsite_after(pair, basis, squares, t) for t in scan) > 0.01
 
 
+_ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from(_ODD_PRIMES), st.data())
+def test_one_shift_by_count_k_is_count_one_tick_steps(n, data):
+    # shift_vs_evolution_residual shifts the initial grid once per count by count*k mod N
+    k = data.draw(st.integers(0, n - 1))
+    sign = data.draw(st.sampled_from([1, -1]))
+    count = data.draw(st.integers(0, 2 * n))
+    grid = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(n, n))
+    stepped = grid
+    for _ in range(count):
+        stepped = stroboscopic_step(stepped, k, sign)
+    assert np.array_equal(stroboscopic_step(grid, count * k % n, sign), stepped)
+
+
 def test_stroboscopic_step_gates():
     grid = np.zeros((5, 5))
     with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ A gate that halves omega still reproduces every energy exactly, so of the gate
 checks only maximality sees it; a trial tick stretched by one part in a
 million is seen by soundness.  A commutation sign reported as +1 leaves every
 exchange phase as it is, and only the commutation table, whose targets follow
-the reported sign, sees it.
+the reported sign, sees it.  T's propagator column without its conjugation is
+the true column on the tick grid, where exp(-i*T*t) is a real shift power, so
+only the check that reads it between ticks sees it.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ import qclock.dynamics as dynamics
 import qclock.numerics as numerics
 import qclock.phase_space as phase_space
 import qclock.spectrum as spectrum
+import qclock.time_interval as time_interval
 import qclock.verification as verification
 from qclock import SpectrumDecomposition
 from qclock.verification import run_suite
@@ -68,6 +71,20 @@ def test_suite_fails_the_commutation_table_when_the_reported_sign_is_wrong(monke
         "schwinger-commutation-table",
         "spectrum-perturbation-reject",
     }
+
+
+_exp_column = time_interval._exp_column
+
+
+def unconjugated_exp_column(top, t):
+    return np.conj(_exp_column(top, t))
+
+
+def test_suite_fails_the_off_tick_propagator_check_when_the_column_is_not_conjugated(monkeypatch):
+    for module in (time_interval, verification):
+        monkeypatch.setattr(module, "_exp_column", unconjugated_exp_column)
+    failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
+    assert failing == {"tio-propagator-off-tick", "spectrum-perturbation-reject"}
 
 
 def test_suite_fails_the_density_control_when_the_eigenvalue_floor_is_minus_one(monkeypatch):

@@ -263,6 +263,18 @@ def test_build_time_operator_forms_no_dense_matrix():
     assert peak < 1_000_000  # a dense T at N = 1009 is 16 MB
 
 
+def test_energy_shift_over_all_gaps_forms_one_gap_at_a_time():
+    spec = skewed_spectrum(101)
+    top = top_for(spec)
+    tracemalloc.start()
+    try:
+        verify_energy_shift(top, spec, range(101))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # all 5151 columns of the 101 gaps at once take 16 MiB
+
+
 _ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 

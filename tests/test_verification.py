@@ -70,7 +70,7 @@ def test_tio_column_readings_are_the_dense_readings(dim, family):
     assert abs(trace_defect - abs(np.trace(t).real - expected)) <= max(1e-13, 2 * np.spacing(expected))
 
 
-def test_suite_exponentiates_five_times(monkeypatch):
+def test_suite_exponentiates_six_times(monkeypatch):
     calls = []
 
     def counting(a, t):
@@ -80,8 +80,9 @@ def test_suite_exponentiates_five_times(monkeypatch):
     # verification is the only module that binds exp_hermitian, so every call the suite makes goes through it
     monkeypatch.setattr(verification, "exp_hermitian", counting)
     report = run_suite(5)
-    # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t)); clock-periodicity: one propagator per spectrum
-    assert len(calls) == 3 + 2
+    # exp-additivity: exp(-iAs), exp(-iAt), exp(-iA(s+t)); clock-periodicity: one propagator per
+    # spectrum; tio-propagator-off-tick: the dense T's propagator
+    assert len(calls) == 3 + 2 + 1
     assert {chk.name for chk in report.checks if not chk.passed} == {"spectrum-perturbation-reject"}
 
 
@@ -116,7 +117,7 @@ SUITE_CHECKS_N5 = [
     "tio-eigen-action-harmonic", "tio-eigen-action-skewed",
     "tio-energy-shift-harmonic", "tio-energy-shift-skewed",
     "tio-grid-harmonic", "tio-grid-skewed",
-    "tio-hermiticity-harmonic", "tio-hermiticity-skewed",
+    "tio-hermiticity-harmonic", "tio-hermiticity-skewed", "tio-propagator-off-tick",
     "tio-trace-harmonic", "tio-trace-skewed",
     "tio-weyl-gap-only", "tio-weyl-phase-harmonic", "tio-weyl-phase-skewed",
     "trace-cyclicity",
