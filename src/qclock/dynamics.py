@@ -10,6 +10,7 @@ and the shift direction is measured from the evolution, not assumed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,8 +172,8 @@ def shift_vs_evolution_residual(
     decomp: SpectrumDecomposition,
     spec: Spectrum,
     rho,
-    n_steps: int,
-) -> float:
+    n_steps: int | Sequence[int] | np.ndarray,
+) -> float | np.ndarray:
     """Largest entrywise gap between direct evolution and the shift rule.
 
     Path A evolves rho tick by tick and maps the final state to its Wigner

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotADensityMatrix
-from .numerics import HERMITICITY_TOL, hermitian_eig, hermiticity_defect
+from .numerics import hermitian_eig, hermiticity_defect
 from .schwinger import SchwingerPair, clock_diagonal, shift_power
 
 DENSITY_HERM_TOL = 1e-10
@@ -40,7 +39,7 @@ DENSITY_EIG_FLOOR = -1e-10
 
 @dataclass(frozen=True)
 class OperatorBasis:
-    """The N x N tables behind map_operator and unmap_grid.
+    """The N x N tables behind map_operator and unmap_grid; no basis matrix B(m, n) is held.
 
     With j the clock exponent and l the shift exponent, both 0..N-1, and
     sym(j) their representative in -(N-1)/2..(N-1)/2:
@@ -50,13 +49,6 @@ class OperatorBasis:
     half_phase[j, l]  = exp(-i*pi*sym(j)*sym(l)/N)
     rows[r, 0] = r, cols[r, l] = r + l (mod N): op[rows, cols] holds the
     cyclic diagonal l of op in column l.
-    clock_phases[l]   = exp(2*pi*i*l/N), the pair's own clock row, shared and
-                        not copied
-
-    ``elements`` (shape (N, N, N, N); elements[m, n] is B(m, n)) is summed
-    from the definition on first read, from the pair's own rows, and then
-    cached.  It takes 16*N^4 bytes and serves only as the reference the basis
-    checks examine.
     """
 
     dim: int
@@ -64,17 +56,12 @@ class OperatorBasis:
     half_phase: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    clock_phases: np.ndarray
-
-    @cached_property
-    def elements(self) -> np.ndarray:
-        return _basis_tensor(SchwingerPair(dim=self.dim, clock_phases=self.clock_phases, fourier=self.fourier))
 
 
 def build_basis(pair: SchwingerPair) -> OperatorBasis:
     """The transform tables for the given pair (O(N^2) memory, one new complex table).
 
-    The basis holds the pair's Fourier table and clock row by reference.
+    The basis holds the pair's Fourier table by reference.
     """
     n = pair.dim
     half = (n - 1) // 2
@@ -87,11 +74,11 @@ def build_basis(pair: SchwingerPair) -> OperatorBasis:
     )
     for arr in tables.values():
         arr.setflags(write=False)
-    return OperatorBasis(dim=n, fourier=pair.fourier, clock_phases=pair.clock_phases, **tables)
+    return OperatorBasis(dim=n, fourier=pair.fourier, **tables)
 
 
 def _basis_tensor(pair: SchwingerPair) -> np.ndarray:
-    """All N^2 basis matrices, summed term by term from the definition."""
+    """All N^2 basis matrices, [m, n] being B(m, n), summed term by term from the definition."""
     n = pair.dim
     half = (n - 1) // 2
     sym = np.arange(-half, half + 1)
@@ -152,9 +139,8 @@ def check_density(rho) -> np.ndarray:
     """Validate a density matrix, naming the violated sub-check on failure.
 
     Requires Hermiticity within 1e-10, unit trace within 1e-10, and all
-    eigenvalues >= -1e-10.  The eigenvalues are those of (rho + rho^dag)/2.
-    hermitian_eig forms that itself below its 1e-12 gate, and needs none for an
-    exactly Hermitian rho, so rho is symmetrized here only above the gate.
+    eigenvalues >= -1e-10.  The eigenvalues are those of (rho + rho^dag)/2,
+    formed here whenever rho is not exactly Hermitian.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     defect = hermiticity_defect(rho)
@@ -163,7 +149,7 @@ def check_density(rho) -> np.ndarray:
     trace_defect = abs(complex(rho.trace()) - 1.0)
     if trace_defect > DENSITY_TRACE_TOL:
         raise NotADensityMatrix(f"trace differs from 1 by {trace_defect:.3e}")
-    work = rho if defect <= HERMITICITY_TOL else 0.5 * (rho + rho.conj().T)
+    work = 0.5 * (rho + rho.conj().T) if defect else rho
     smallest = float(hermitian_eig(work, vectors=False).values[0])
     if smallest < DENSITY_EIG_FLOOR:
         raise NotADensityMatrix(f"negative eigenvalue {smallest:.3e}")

@@ -18,6 +18,7 @@ circulant in the clock basis: it is held by its closed-form column, O(N).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,9 @@ def time_operator_grid(basis: OperatorBasis, top: TimeIntervalOperator) -> np.nd
     return map_operator(basis, top.matrix)
 
 
-def verify_energy_shift(top: TimeIntervalOperator, spec: Spectrum, s: int) -> float:
+def verify_energy_shift(
+    top: TimeIntervalOperator, spec: Spectrum, s: int | Sequence[int] | np.ndarray
+) -> float | np.ndarray:
     """Residual of the ladder-shift identity at gap s.
 
     Returns max over m in 0..N-1-s of

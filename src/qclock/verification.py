@@ -26,7 +26,7 @@ from .dynamics import (
 )
 from .errors import InternalConsistency, NotADensityMatrix, NoRationalWithinTolerance
 from .numerics import exchange_phase, exp_hermitian, hermitian_eig, rationalize
-from .phase_space import build_basis, check_density, map_operator, unmap_grid, wigner_of_density
+from .phase_space import _basis_tensor, build_basis, check_density, map_operator, unmap_grid, wigner_of_density
 from .schwinger import (
     build_pair,
     clock_diagonal,
@@ -239,7 +239,7 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     checks.append(_upper("mub-overlap", _max_abs(np.abs(pair.fourier) ** 2 - 1.0 / n), 1e-12))
 
     # operator basis
-    g = basis.elements
+    g = _basis_tensor(pair)
     flat = g.reshape(n * n, n * n)
     checks.append(_upper("basis-orthogonality", _max_abs(flat.conj() @ flat.T - n * np.eye(n * n)), 1e-10))
     checks.append(_upper("basis-hermiticity", _max_abs(g - np.conj(np.transpose(g, (0, 1, 3, 2)))), 1e-10))

@@ -40,6 +40,7 @@ from qclock import (
     wigner_of_density,
 )
 from qclock.dynamics import conjugate_unitary
+from qclock.phase_space import _basis_tensor
 from conftest import REPO_ROOT, cached_basis, cached_pair
 from reference import random_compatible_spectrum
 
@@ -77,12 +78,13 @@ def test_criterion_1_operator_basis_suite():
     try:
         for dim in SMALL_DIMS:
             basis = cached_basis(dim)
-            flat = basis.elements.reshape(dim * dim, dim * dim)
+            elements = _basis_tensor(cached_pair(dim))
+            flat = elements.reshape(dim * dim, dim * dim)
             gram = flat.conj() @ flat.T
             assert np.max(np.abs(gram - dim * np.eye(dim * dim))) < 1e-10
-            swapped = np.conj(np.transpose(basis.elements, (0, 1, 3, 2)))
-            assert np.max(np.abs(basis.elements - swapped)) < 1e-10
-            traces = np.einsum("mnrr->mn", basis.elements)
+            swapped = np.conj(np.transpose(elements, (0, 1, 3, 2)))
+            assert np.max(np.abs(elements - swapped)) < 1e-10
+            traces = np.einsum("mnrr->mn", elements)
             assert np.max(np.abs(traces - 1.0)) < 1e-12
             rng = np.random.default_rng(200 + dim)
             for _ in range(50):

@@ -14,7 +14,6 @@ from qclock import (
     NotHermitian,
     Spectrum,
     build_basis,
-    build_pair,
     check_density,
     clock_power,
     clock_run,
@@ -29,42 +28,41 @@ from qclock import (
     wigner_of_density,
 )
 from qclock.dynamics import conjugate_diagonal
+from qclock.phase_space import _basis_tensor
 from conftest import cached_basis, cached_pair
 
 
-def all_elements(basis):
-    n = basis.dim
-    return [basis.elements[m, nn] for m in range(n) for nn in range(n)]
+def all_elements(dim):
+    elements = _basis_tensor(cached_pair(dim))
+    return [elements[m, nn] for m in range(dim) for nn in range(dim)]
 
 
 def test_unit_traces_n3():
-    for g in all_elements(cached_basis(3)):
+    for g in all_elements(3):
         assert abs(np.trace(g) - 1.0) < 1e-12
 
 
 def test_hermiticity_n3():
-    for g in all_elements(cached_basis(3)):
+    for g in all_elements(3):
         assert np.max(np.abs(g - g.conj().T)) < 1e-12
 
 
 def test_orthogonality_spot_n5():
-    basis = cached_basis(5)
-    inner = np.vdot(basis.elements[0, 0], basis.elements[1, 2])
+    elements = _basis_tensor(cached_pair(5))
+    inner = np.vdot(elements[0, 0], elements[1, 2])
     assert abs(inner) < 1e-10
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_orthogonality_full_gram(dim):
-    basis = cached_basis(dim)
-    flat = basis.elements.reshape(dim * dim, dim * dim)
+    flat = _basis_tensor(cached_pair(dim)).reshape(dim * dim, dim * dim)
     gram = flat.conj() @ flat.T
     assert np.max(np.abs(gram - dim * np.eye(dim * dim))) < 1e-10
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_sum_of_elements_is_scaled_identity(dim):
-    basis = cached_basis(dim)
-    total = basis.elements.sum(axis=(0, 1))
+    total = _basis_tensor(cached_pair(dim)).sum(axis=(0, 1))
     assert np.max(np.abs(total - dim * np.eye(dim))) < 1e-10
 
 
@@ -239,6 +237,32 @@ def test_check_density_lapack_failure_is_no_convergence(monkeypatch):
         check_density(np.eye(3) / 3)
 
 
+# one defect per band: exactly Hermitian, within hermitian_eig's 1e-12 gate, above it
+@pytest.mark.parametrize("defect", [0.0, 1e-13, 1e-11])
+@pytest.mark.parametrize("smallest", [-9.8e-11, -1.02e-10])
+def test_check_density_reads_the_eigenvalues_of_the_symmetrized_density(defect, smallest):
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    levels = np.array([smallest, 0.1, 0.2, 0.3, 0.4 - smallest])
+    rho = (q * levels) @ q.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    # an anti-Hermitian part with a zero diagonal leaves the trace real
+    skew = rng.uniform(-1.0, 1.0, size=(5, 5))
+    skew = np.triu(skew, 1) + np.triu(skew, 1).T
+    rho = rho + 0.5j * defect * skew / np.abs(skew).max()
+    measured = float(np.abs(rho - rho.conj().T).max())
+    assert (0.5 * defect < measured < 2 * defect) if defect else measured == 0.0
+
+    reference = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    if reference >= -1e-10:
+        assert smallest > -1e-10
+        check_density(rho)
+    else:
+        assert smallest < -1e-10
+        with pytest.raises(NotADensityMatrix, match=f"^negative eigenvalue {reference:.3e}$"):
+            check_density(rho)
+
+
 # --- the density and eigen guards against reference copies ---------------------
 #
 # The references take every step: check_density symmetrizes each matrix before
@@ -351,22 +375,23 @@ def test_density_and_eigen_guards_equal_their_reference_code(rho):
             assert same_outcome(got, want)
 
 
-def map_by_elements(basis, op):
-    return np.einsum("mnrs,rs->mn", basis.elements.conj(), op)
+def map_by_elements(elements, op):
+    return np.einsum("mnrs,rs->mn", elements.conj(), op)
 
 
-def unmap_by_elements(basis, grid):
-    return np.einsum("mn,mnrs->rs", grid, basis.elements) / basis.dim
+def unmap_by_elements(elements, grid):
+    return np.einsum("mn,mnrs->rs", grid, elements) / grid.shape[-1]
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7, 11, 13])
 def test_maps_agree_with_elements(dim):
     basis = cached_basis(dim)
+    elements = _basis_tensor(cached_pair(dim))
     rng = np.random.default_rng(200 + dim)
     for _ in range(5):
         op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        assert np.max(np.abs(map_operator(basis, op) - map_by_elements(basis, op))) < 1e-12
-        assert np.max(np.abs(unmap_grid(basis, op) - unmap_by_elements(basis, op))) < 1e-12
+        assert np.max(np.abs(map_operator(basis, op) - map_by_elements(elements, op))) < 1e-12
+        assert np.max(np.abs(unmap_grid(basis, op) - unmap_by_elements(elements, op))) < 1e-12
 
 
 @st.composite
@@ -382,10 +407,11 @@ def operators(draw):
 @given(operators())
 def test_maps_property(op):
     basis = cached_basis(op.shape[0])
+    elements = _basis_tensor(cached_pair(op.shape[0]))
     scale = max(1.0, float(np.max(np.abs(op))))
     grid = map_operator(basis, op)
-    assert np.max(np.abs(grid - map_by_elements(basis, op))) < 1e-12 * scale
-    assert np.max(np.abs(unmap_grid(basis, op) - unmap_by_elements(basis, op))) < 1e-12 * scale
+    assert np.max(np.abs(grid - map_by_elements(elements, op))) < 1e-12 * scale
+    assert np.max(np.abs(unmap_grid(basis, op) - unmap_by_elements(elements, op))) < 1e-12 * scale
     assert np.max(np.abs(unmap_grid(basis, grid) - op)) < 1e-12 * scale
 
 
@@ -407,21 +433,18 @@ def looped_basis_tensor(pair):
 @pytest.mark.parametrize("dim", [3, 5, 7, 11, 13, 31])
 def test_basis_tensor_is_the_looped_sum_bit_for_bit(dim):
     pair = cached_pair(dim)
-    assert qclock.phase_space._basis_tensor(pair).tobytes() == looped_basis_tensor(pair).tobytes()
-
-
-def test_elements_cached_and_read_only():
-    basis = build_basis(cached_pair(3))
-    assert basis.elements is basis.elements
-    assert not basis.elements.flags.writeable
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        basis.elements = np.zeros((3, 3, 3, 3))
+    elements = _basis_tensor(pair)
+    assert not elements.flags.writeable
+    assert elements.tobytes() == looped_basis_tensor(pair).tobytes()
 
 
 @pytest.mark.parametrize("dim", [3, 31])
 def test_basis_shares_the_pair_fourier_table(dim):
     pair = cached_pair(dim)
     basis = build_basis(pair)
+    assert [field.name for field in dataclasses.fields(basis)] == ["dim", "fourier", "half_phase", "rows", "cols"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.half_phase = np.zeros((dim, dim))
     assert basis.fourier is pair.fourier
     tables = [
         value
@@ -430,19 +453,6 @@ def test_basis_shares_the_pair_fourier_table(dim):
     ]
     assert len(tables) == 2  # the shared Fourier table and the basis's own half_phase
     assert sum(table is not pair.fourier for table in tables) == 1
-
-
-@pytest.mark.parametrize("dim", [3, 5, 13])
-def test_elements_come_from_the_pair_rows_without_a_second_pair(monkeypatch, dim):
-    pair = build_pair(dim)
-    basis = build_basis(pair)
-    assert basis.clock_phases is pair.clock_phases
-
-    def refuse(dim):
-        raise AssertionError("the basis built a second Schwinger pair")
-
-    monkeypatch.setattr(qclock.phase_space, "build_pair", refuse, raising=False)
-    assert basis.elements.tobytes() == qclock.phase_space._basis_tensor(pair).tobytes()
 
 
 def test_n31_paths_never_build_elements(monkeypatch):
@@ -458,4 +468,3 @@ def test_n31_paths_never_build_elements(monkeypatch):
     map_operator(basis, np.eye(n))
     wigner_of_density(basis, np.outer(vec, vec.conj()))
     clock_run(pair, basis, decompose_spectrum(spec), spec, 0, 2 * n)
-    assert "elements" not in vars(basis)

@@ -490,8 +490,8 @@ def test_front_end_reports_non_commensurable_before_the_shape():
         analyze_float_spectrum([0.0, 1.0, 2.0], 5, 1e-12, 1000)
 
 
-@pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
-def test_a_non_finite_tolerance_is_a_value_error_at_every_entry_point(tolerance):
+@pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan, 0.0, -0.0])
+def test_a_tolerance_not_positive_and_finite_is_a_value_error_at_every_entry_point(tolerance):
     with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
         rationalize(0.3, tolerance, 10)
     with pytest.raises(ValueError, match="^tolerance must be positive and finite, got"):
