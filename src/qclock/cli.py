@@ -31,7 +31,6 @@ from .spectrum import (
     IncompatibilityCertificate,
     Spectrum,
     SpectrumDecomposition,
-    analyze_float_spectrum,
     decompose_spectrum,
     rationalize_energies,
 )
@@ -215,6 +214,23 @@ def _load_odd_prime_spectrum(path: str) -> dict:
 # analyze
 
 
+def _decide(data: dict, tolerance: float, max_denominator: int):
+    """(exact Spectrum or None, gate outcome) of a loaded file: rationalize_energies, then decompose_spectrum."""
+    fractions = rationalize_energies(data["energies"], tolerance, max_denominator)
+    if isinstance(fractions, IncompatibilityCertificate):
+        return None, fractions
+    spec = Spectrum(dim=data["n"], energies=fractions)
+    return spec, decompose_spectrum(spec)
+
+
+def _compatible(data: dict):
+    """(Spectrum, SpectrumDecomposition) of a loaded file at the default tolerance; raises IncompatibleSpectrum."""
+    spec, outcome = _decide(data, DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
+    if not isinstance(outcome, SpectrumDecomposition):
+        raise IncompatibleSpectrum(outcome.detail)
+    return spec, outcome
+
+
 def _require_printable(field: str, *values: int) -> None:
     """Exit 2 when an output integer has more digits than str() converts."""
     try:
@@ -261,15 +277,10 @@ def cmd_analyze(args) -> int:
     data = _load_odd_prime_spectrum(args.spectrum)
     n = data["n"]
 
-    fractions = rationalize_energies(data["energies"], args.tolerance, args.max_denominator)
-    if isinstance(fractions, IncompatibilityCertificate):
-        outcome, fractions, residuals = fractions, None, None
-    else:
-        outcome = decompose_spectrum(Spectrum(dim=n, energies=fractions))
-        residuals = [
-            abs(e - float(x)) if isinstance(e, float) else 0.0
-            for e, x in zip(data["energies"], fractions)
-        ]
+    spec, outcome = _decide(data, args.tolerance, args.max_denominator)
+    residuals = None if spec is None else [
+        abs(e - float(x)) if isinstance(e, float) else 0.0 for e, x in zip(data["energies"], spec.energies)
+    ]
 
     report = _report("analyze", args, data, tolerance=args.tolerance,
                      max_denominator=args.max_denominator, shift_ground=bool(args.shift_ground))
@@ -281,8 +292,8 @@ def cmd_analyze(args) -> int:
 
     if args.shift_ground:
         shifted = outcome
-        if fractions is not None:
-            shifted = decompose_spectrum(Spectrum(n, tuple(e - fractions[0] for e in fractions)))
+        if spec is not None:
+            shifted = decompose_spectrum(Spectrum(n, tuple(e - spec.energies[0] for e in spec.energies)))
         report["shifted"] = _verdict_fields(shifted)
 
     if args.format == "json":
@@ -340,17 +351,9 @@ def _emit_analyze_text(report: dict) -> None:
 # clock
 
 
-def _compatible(data: dict):
-    """The SpectrumDecomposition of a loaded spectrum file; raises IncompatibleSpectrum."""
-    outcome = analyze_float_spectrum(data["energies"], data["n"], DEFAULT_TOLERANCE, DEFAULT_MAX_DENOMINATOR)
-    if not isinstance(outcome, SpectrumDecomposition):
-        raise IncompatibleSpectrum(outcome.detail)
-    return outcome
-
-
 def cmd_clock(args) -> int:
     data = _load_odd_prime_spectrum(args.spectrum)
-    decomp = _compatible(data)
+    spec, decomp = _compatible(data)
     n = decomp.dim
     steps = args.steps if args.steps is not None else 2 * n
     if not 0 <= args.initial < n:
@@ -358,7 +361,7 @@ def cmd_clock(args) -> int:
 
     pair = build_pair(n)
     basis = build_basis(pair)
-    trace = clock_run(pair, basis, decomp, Spectrum(dim=n, energies=decomp.energies()), args.initial, steps)
+    trace = clock_run(pair, basis, decomp, spec, args.initial, steps)
 
     if args.format == "json":
         report = _report("clock", args, data, initial=args.initial, steps=steps)
@@ -408,7 +411,7 @@ def cmd_wigner(args) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             if args.step is not None:
-                decomp = _compatible(data)
+                _, decomp = _compatible(data)
                 t = args.step * decomp.delta_tau
                 phases = decomp.tick_phases(args.step)
             else:

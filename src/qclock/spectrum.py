@@ -171,8 +171,8 @@ class SpectrumDecomposition:
         """E_m mod N*omega = omega*((k*m) mod N) in float64: one read-only array, made on the first read.
 
         Kept without the lock functools.cached_property takes on a first read.  Equal bit
-        for bit to reduce_mod_period(self.energies(), ...): int true division rounds the
-        exact ratio correctly, as float(Fraction) does.
+        for bit to reduce_mod_period of the energies omega*(k*m + N*f[m]): int true division
+        rounds the exact ratio correctly, as float(Fraction) does.
         """
         reduced = self.__dict__.get("_tick_energies")
         if reduced is None:
@@ -192,12 +192,6 @@ class SpectrumDecomposition:
         """
         t = (j % self.dim) * self.delta_tau
         return _phase_vector(self.tick_energies, t)
-
-    def energy(self, m: int) -> Fraction:
-        return self.omega * (self.k * m + self.dim * self.f[m])
-
-    def energies(self) -> tuple:
-        return tuple(self.energy(m) for m in range(self.dim))
 
     def matches(self, spec: Spectrum) -> bool:
         """Whether spec's energies are exactly omega*(k*m + N*f[m]), in integers."""

@@ -347,12 +347,13 @@ def run_suite(dim: int, seed: int = 42) -> SuiteReport:
     checks.append(_upper("tio-propagator-off-tick", off_tick, 1e-10))
 
     # dynamics
-    for label, spec, dec in (("harmonic", harmonic, d_harm), ("skewed", skewed, d_skew)):
+    for label, spec, dec, start in (("harmonic", harmonic, d_harm, 0), ("skewed", skewed, d_skew, 1)):
         ticks = np.arange(1, 2 * n + 1)
         worst = _max_abs(dec.tick_phases(ticks) - clock_diagonal(pair, (-(ticks * dec.k) % n)[:, None]))
         checks.append(_upper(f"dynamics-hypothesis-{label}", worst, 1e-10))
 
-        trace = clock_run(pair, basis, dec, spec, initial_index=0, steps=n)
+        # |s_1> is complex, so the skewed run's marginal cross-check maps a complex state at both ends
+        trace = clock_run(pair, basis, dec, spec, initial_index=start, steps=n + start)
         occupied = [rec.occupied_index for rec in trace.steps]
         missing = len(set(range(n)) - set(occupied[:n]))
         checks.append(_upper(f"clock-coverage-{label}", missing, 0.0))

@@ -30,6 +30,11 @@ def rational_gcd(xs) -> Fraction:
     return Fraction(num, den)
 
 
+def decomposition_energies(dec) -> tuple:
+    """The energies omega*(k*m + N*f[m]) a decomposition stands for, as Fractions."""
+    return tuple(dec.omega * (dec.k * m + dec.dim * f_m) for m, f_m in enumerate(dec.f))
+
+
 def random_compatible_spectrum(rng, dim: int):
     """Seeded spectrum of the clock-compatible form; returns (spectrum, k, f, omega)."""
     k = int(rng.integers(1, dim))

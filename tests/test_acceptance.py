@@ -42,7 +42,7 @@ from qclock import (
 from qclock.dynamics import conjugate_unitary
 from qclock.phase_space import _basis_tensor
 from conftest import REPO_ROOT, cached_basis, cached_pair
-from reference import random_compatible_spectrum
+from reference import decomposition_energies, random_compatible_spectrum
 
 SMALL_DIMS = (3, 5, 7)
 ALL_DIMS = (3, 5, 7, 11, 13)
@@ -122,7 +122,7 @@ def perturbed_acceptance_fault(spec, index, floats, outcome, tolerance, max_deno
     """
     if not isinstance(outcome, SpectrumDecomposition):
         return f"unexpected outcome {outcome!r}"
-    energies = outcome.energies()
+    energies = decomposition_energies(outcome)
     if any(abs(e - Fraction(x)) > Fraction(tolerance) for e, x in zip(energies, floats)):
         return f"energies {energies} are not within {tolerance} of the floats"
     approximant = rationalize(floats[index], tolerance, max_denominator)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -238,6 +239,76 @@ def test_clock_incompatible_exits_three():
     proc = run_cli("clock", "--spectrum", SQUARES)
     assert proc.returncode == 3
     assert proc.stdout == ""
+
+
+def run_in_process(capsys, *argv):
+    from qclock import cli
+
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_clock_checks_the_gate_against_the_file_it_read(monkeypatch, capsys):
+    # a gate whose clock power is off by one: the clock it would run is that of another spectrum
+    import qclock.spectrum as spectrum
+    from qclock import SpectrumDecomposition
+
+    decompose = spectrum._decompose
+
+    def off_by_one_power(n, nums, dens):
+        result = decompose(n, nums, dens)
+        if not isinstance(result, SpectrumDecomposition):
+            return result
+        return SpectrumDecomposition(dim=n, omega=result.omega, k=(result.k + 1) % n, f=result.f)
+
+    monkeypatch.setattr(spectrum, "_decompose", off_by_one_power)
+    assert run_in_process(capsys, "clock", "--spectrum", SKEWED) == (
+        3,
+        "",
+        "error: incompatible spectrum: decomposition does not reproduce the spectrum exactly\n",
+    )
+
+
+def seeded_ladder(seed, n):
+    """A clock-compatible ladder, its even entries as "p/q" strings and its odd entries as floats."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, n))
+    f = rng.integers(-20, 21, size=n).tolist()
+    omega = Fraction(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+    energies = [omega * (k * m + n * f[m]) for m in range(n)]
+    return {"n": n, "energies": [f"{e.numerator}/{e.denominator}" if m % 2 == 0 else float(e)
+                                 for m, e in enumerate(energies)]}
+
+
+def shipped(name):
+    return json.loads((SPECTRA_DIR / f"{name}.json").read_text())
+
+
+# (payload, the reason analyze gives, or None for a compatible spectrum)
+VERDICT_CASES = {
+    "harmonic": (shipped("harmonic_n5"), None),
+    "skewed": (shipped("skewed_n5"), None),
+    "squares": (shipped("squares_n5"), "ResiduesNotLinear"),
+    "off-lattice": (OFF_LATTICE, "NotCommensurable"),
+    "broken-ladder": ({"n": 7, "energies": [0, 1, 2, 3, 4, 5, 7]}, "ResiduesNotLinear"),
+    **{f"seed{seed}-n{n}": (seeded_ladder(seed, n), None) for seed in (1, 2) for n in (7, 31)},
+}
+
+
+@pytest.mark.parametrize("payload, reason", VERDICT_CASES.values(), ids=VERDICT_CASES.keys())
+def test_clock_and_wigner_step_follow_the_analyze_verdict(tmp_path, capsys, payload, reason):
+    path = write_spectrum(tmp_path, payload)
+    code, out, _ = run_in_process(capsys, "analyze", "--spectrum", path)
+    report = json.loads(out)
+    assert report.get("certificate", {}).get("reason") == reason
+    for argv in (("clock", "--steps", "1"), ("wigner", "--state", "v:0", "--step", "1")):
+        command_code, _, err = run_in_process(capsys, argv[0], "--spectrum", path, *argv[1:])
+        if report["compatible"]:
+            assert (code, command_code, err) == (0, 0, "")
+        else:
+            assert code == command_code == 3
+            assert report["certificate"]["detail"] in err
 
 
 def test_wigner_shift_eigenstate_column():

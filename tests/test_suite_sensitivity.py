@@ -12,8 +12,14 @@ million is seen by soundness.  A commutation sign reported as +1 leaves every
 exchange phase as it is, and only the commutation table, whose targets follow
 the reported sign, sees it.  T's propagator column without its conjugation is
 the true column on the tick grid, where exp(-i*T*t) is a real shift power, so
-only the check that reads it between ticks sees it.
+only the check that reads it between ticks sees it.  A clock run's marginal
+cross-check that drops the conjugate from |psi><psi| maps a non-Hermitian matrix
+only for a complex state, so only the skewed run, which starts at the complex
+|s_1>, sees it, as the density guard's rejection.
 """
+
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -24,7 +30,7 @@ import qclock.phase_space as phase_space
 import qclock.spectrum as spectrum
 import qclock.time_interval as time_interval
 import qclock.verification as verification
-from qclock import SpectrumDecomposition
+from qclock import NotADensityMatrix, SpectrumDecomposition
 from qclock.verification import run_suite
 
 _conjugate_unitary = dynamics.conjugate_unitary
@@ -61,6 +67,23 @@ def test_suite_fails_a_named_check_for_each_dynamics_mutant(monkeypatch, name, m
         monkeypatch.setattr(module, name, mutant)
     failing = {chk.name for chk in run_suite(5).checks if not chk.passed}
     assert caught_by in failing
+
+
+def unconjugated_marginal_clock_run():
+    """dynamics.clock_run with np.outer(state, state) in place of np.outer(state, state.conj())."""
+    source, marginal = inspect.getsource(dynamics.clock_run), "np.outer(state, state.conj())"
+    assert source.count(marginal) == 1
+    namespace = dict(vars(dynamics))
+    exec(textwrap.dedent(source.replace(marginal, "np.outer(state, state)")), namespace)
+    return namespace["clock_run"]
+
+
+def test_suite_rejects_the_clock_marginal_of_an_unconjugated_state(monkeypatch):
+    mutant = unconjugated_marginal_clock_run()
+    for module in (dynamics, verification):
+        monkeypatch.setattr(module, "clock_run", mutant)
+    with pytest.raises(NotADensityMatrix):
+        run_suite(5)
 
 
 def test_suite_fails_the_commutation_table_when_the_reported_sign_is_wrong(monkeypatch):
